@@ -1,6 +1,7 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -89,6 +90,20 @@ Result<int> ParseInt(std::string_view text) {
     return Status::OutOfRange("int out of range: '" + buf + "'");
   }
   return static_cast<int>(value);
+}
+
+Result<uint64_t> ParseUint64(std::string_view text, int base) {
+  uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  // from_chars takes no whitespace, '+', or base prefix, and no '-' for
+  // unsigned targets; anything left unconsumed is trailing garbage.
+  const std::from_chars_result parsed =
+      std::from_chars(text.data(), end, value, base);
+  if (parsed.ec != std::errc() || parsed.ptr != end) {
+    return Status::ParseError("not an unsigned integer: '" +
+                              std::string(text) + "'");
+  }
+  return value;
 }
 
 int GetEnvInt(const char* name, int fallback) {

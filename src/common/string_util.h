@@ -1,6 +1,7 @@
 #ifndef CPCLEAN_COMMON_STRING_UTIL_H_
 #define CPCLEAN_COMMON_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,6 +30,11 @@ bool EndsWith(std::string_view text, std::string_view suffix);
 /// Parses a double / int; rejects trailing garbage and empty input.
 Result<double> ParseDouble(std::string_view text);
 Result<int> ParseInt(std::string_view text);
+
+/// Parses an unsigned 64-bit integer in `base` (10 or 16) from digits
+/// only: no sign, whitespace, prefix, or trailing bytes. Empty input and
+/// overflow are ParseErrors. The strict parser for untrusted file bytes.
+Result<uint64_t> ParseUint64(std::string_view text, int base);
 
 /// Reads an integer environment variable, falling back when unset or
 /// malformed. Used by the experiment harnesses for scale knobs.

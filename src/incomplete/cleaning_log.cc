@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -20,17 +19,6 @@ namespace cpclean {
 namespace {
 
 constexpr char kLogMagic[] = "cpclean-log-v1";
-
-Result<uint64_t> ParseUint64(const std::string& text, int base) {
-  if (text.empty()) return Status::ParseError("empty integer");
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, base);
-  if (errno != 0 || end != text.c_str() + text.size()) {
-    return Status::ParseError("bad integer: " + text);
-  }
-  return static_cast<uint64_t>(value);
-}
 
 void AppendCandidates(const std::vector<std::vector<double>>& candidates,
                       std::string* out) {

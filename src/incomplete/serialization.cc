@@ -1,7 +1,5 @@
 #include "incomplete/serialization.h"
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include "common/logging.h"
@@ -10,9 +8,7 @@
 namespace cpclean {
 
 namespace {
-constexpr char kMagicV1[] = "cpclean-incomplete-v1";
-constexpr char kMagicV2[] = "cpclean-incomplete-v2";
-constexpr char kMagicV3[] = "cpclean-incomplete-v3";
+constexpr char kMagic[] = "cpclean-incomplete-v3";
 
 /// True for a payload line the line-oriented framing can carry verbatim.
 bool ValidSectionLine(const std::string& line) {
@@ -21,66 +17,26 @@ bool ValidSectionLine(const std::string& line) {
          stripped.size() == line.size();
 }
 
-void AppendDataset(const IncompleteDataset& dataset, std::string* out) {
-  for (int i = 0; i < dataset.num_examples(); ++i) {
-    *out += StrFormat("example %d %d\n", dataset.label(i),
-                      dataset.num_candidates(i));
-    for (int j = 0; j < dataset.num_candidates(i); ++j) {
-      const auto& x = dataset.candidate(i, j);
-      for (size_t d = 0; d < x.size(); ++d) {
-        if (d > 0) *out += ' ';
-        *out += StrFormat("%a", x[d]);  // hex float: exact round trip
-      }
-      *out += '\n';
-    }
-  }
-}
-
 }  // namespace
 
-std::string SerializeIncompleteDataset(const IncompleteDataset& dataset) {
-  std::string out =
-      StrFormat("%s %d %d\n", kMagicV1, dataset.num_labels(), dataset.dim());
-  AppendDataset(dataset, &out);
-  return out;
-}
-
-namespace {
-
-void AppendSections(const std::vector<SerializedSection>& sections,
-                    std::string* out) {
-  for (const SerializedSection& section : sections) {
-    CP_CHECK(!section.name.empty());
-    CP_CHECK(section.name.find_first_of(" \t\r\n") == std::string::npos);
-    *out += StrFormat("section %s\n", section.name.c_str());
-    for (const std::string& line : section.lines) {
-      CP_CHECK(ValidSectionLine(line));
-      *out += line;
-      *out += '\n';
-    }
-    *out += "end\n";
-  }
-}
-
-}  // namespace
-
-std::string SerializeIncompleteDatasetV3(
+std::string SerializeIncompleteDataset(
     const IncompleteDataset& dataset,
     const std::vector<SerializedSection>& sections) {
   std::string out = StrFormat(
-      "%s %d %d %llu\n", kMagicV3, dataset.num_labels(), dataset.dim(),
+      "%s %d %d %llu\n", kMagic, dataset.num_labels(), dataset.dim(),
       static_cast<unsigned long long>(dataset.version()));
-  AppendDataset(dataset, &out);
-  AppendSections(sections, &out);
-  return out;
-}
-
-std::string SerializeIncompleteDatasetV2(
-    const IncompleteDataset& dataset,
-    const std::vector<SerializedSection>& sections) {
-  std::string out =
-      StrFormat("%s %d %d\n", kMagicV2, dataset.num_labels(), dataset.dim());
-  AppendDataset(dataset, &out);
+  for (int i = 0; i < dataset.num_examples(); ++i) {
+    out += StrFormat("example %d %d\n", dataset.label(i),
+                     dataset.num_candidates(i));
+    for (int j = 0; j < dataset.num_candidates(i); ++j) {
+      const auto& x = dataset.candidate(i, j);
+      for (size_t d = 0; d < x.size(); ++d) {
+        if (d > 0) out += ' ';
+        out += StrFormat("%a", x[d]);  // hex float: exact round trip
+      }
+      out += '\n';
+    }
+  }
   for (const SerializedSection& section : sections) {
     CP_CHECK(!section.name.empty());
     CP_CHECK(section.name.find_first_of(" \t\r\n") == std::string::npos);
@@ -95,7 +51,7 @@ std::string SerializeIncompleteDatasetV2(
   return out;
 }
 
-Result<DeserializedDatasetV2> DeserializeIncompleteDatasetV2(
+Result<DeserializedDataset> DeserializeIncompleteDataset(
     const std::string& text) {
   std::istringstream stream(text);
   std::string line;
@@ -113,36 +69,26 @@ Result<DeserializedDatasetV2> DeserializeIncompleteDatasetV2(
   if (!next_line(&line)) {
     return Status::ParseError("empty input");
   }
-  std::vector<std::string> header = Split(line, ' ');
-  const bool v3 = !header.empty() && header[0] == kMagicV3;
-  const bool sectioned = v3 || (!header.empty() && header[0] == kMagicV2);
-  const size_t want_fields = v3 ? 4 : 3;
-  if (header.size() != want_fields ||
-      (header[0] != kMagicV1 && header[0] != kMagicV2 &&
-       header[0] != kMagicV3)) {
+  const std::vector<std::string> header = Split(line, ' ');
+  if (header.size() != 4 || header[0] != kMagic) {
     return Status::ParseError("bad header: " + line);
   }
-  const bool v2 = sectioned;
   CP_ASSIGN_OR_RETURN(const int num_labels, ParseInt(header[1]));
   CP_ASSIGN_OR_RETURN(const int dim, ParseInt(header[2]));
   if (num_labels < 1 || dim < 0) {
     return Status::ParseError("invalid header values");
   }
-  uint64_t stored_version = 0;
-  if (v3) {
-    std::istringstream version_stream(header[3]);
-    version_stream >> stored_version;
-    if (version_stream.fail() || !version_stream.eof()) {
-      return Status::ParseError("bad version in header: " + line);
-    }
+  const Result<uint64_t> stored_version = ParseUint64(header[3], 10);
+  if (!stored_version.ok()) {
+    return Status::ParseError("bad version in header: " + line);
   }
 
-  DeserializedDatasetV2 out;
+  DeserializedDataset out;
   out.dataset = IncompleteDataset(num_labels);
   bool in_examples = true;
   while (next_line(&line)) {
     std::vector<std::string> fields = Split(line, ' ');
-    if (v2 && fields.size() == 2 && fields[0] == "section") {
+    if (fields.size() == 2 && fields[0] == "section") {
       in_examples = false;  // sections are a trailer: no examples after
       SerializedSection section;
       section.name = fields[1];
@@ -196,41 +142,8 @@ Result<DeserializedDatasetV2> DeserializeIncompleteDatasetV2(
     }
     CP_RETURN_NOT_OK(out.dataset.AddExample(std::move(example)));
   }
-  if (v3) {
-    out.dataset.OverrideVersionForReplay(stored_version);
-    out.has_version = true;
-  }
+  out.dataset.OverrideVersionForReplay(stored_version.value());
   return out;
-}
-
-Result<IncompleteDataset> DeserializeIncompleteDataset(
-    const std::string& text) {
-  CP_ASSIGN_OR_RETURN(DeserializedDatasetV2 parsed,
-                      DeserializeIncompleteDatasetV2(text));
-  return std::move(parsed.dataset);
-}
-
-Status SaveIncompleteDataset(const IncompleteDataset& dataset,
-                             const std::string& path) {
-  std::ofstream file(path);
-  if (!file) {
-    return Status::IoError("cannot open for writing: " + path);
-  }
-  file << SerializeIncompleteDataset(dataset);
-  if (!file) {
-    return Status::IoError("write failed: " + path);
-  }
-  return Status::OK();
-}
-
-Result<IncompleteDataset> LoadIncompleteDataset(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) {
-    return Status::IoError("cannot open: " + path);
-  }
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  return DeserializeIncompleteDataset(buffer.str());
 }
 
 }  // namespace cpclean

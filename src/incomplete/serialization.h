@@ -9,89 +9,48 @@
 
 namespace cpclean {
 
-/// Plain-text serialization of an incomplete dataset, so candidate spaces
-/// built by one process (e.g. an expensive repair-generation job) can be
-/// reloaded by another. Format (line-oriented, '#' comments allowed):
+/// Plain-text snapshot of an incomplete dataset plus named sections of
+/// opaque payload — the base file the session store writes. Format
+/// (line-oriented, '#' comments and blank lines allowed):
 ///
-///   cpclean-incomplete-v1 <num_labels> <dim>
+///   cpclean-incomplete-v3 <num_labels> <dim> <version>
 ///   example <label> <num_candidates>
 ///   <v0> <v1> ... <v_dim-1>           # one line per candidate
 ///   ...
+///   section <name>
+///   <payload line>
+///   ...
+///   end
 ///
-/// Doubles round-trip exactly (hex float encoding).
-std::string SerializeIncompleteDataset(const IncompleteDataset& dataset);
+/// Doubles round-trip exactly (hex float encoding). `<version>` is the
+/// dataset's `version()`, the sequence anchor of the append-only cleaning
+/// log: a `<name>.cplog` record with seq > version is newer than the base
+/// and is replayed on rehydration. Sections form a trailer (no example
+/// after the first one); payload lines are stored verbatim and must be
+/// non-empty, must not start with '#', and must not equal "end".
 
-/// Parses text produced by `SerializeIncompleteDataset` — or a v2 document
-/// (below), whose trailing sections are ignored.
-Result<IncompleteDataset> DeserializeIncompleteDataset(
-    const std::string& text);
-
-// --- v2: dataset + named sections ------------------------------------------
-//
-// The v2 format carries the same candidate space plus any number of named
-// sections of opaque payload lines after the examples — the hook the
-// serving layer uses to persist a session's cleaning state (which tuples
-// were cleaned, in what order, plus the request spec that rebuilds the
-// task) next to the worked-on candidate space in one recoverable file:
-//
-//   cpclean-incomplete-v2 <num_labels> <dim>
-//   example <label> <num_candidates>
-//   <candidates...>
-//   section <name>
-//   <payload line>
-//   ...
-//   end
-//
-// Payload lines are stored verbatim (whitespace-stripped); they must be
-// non-empty, must not start with '#', and must not equal "end" — the
-// line-oriented framing reserves those.
-
-/// One named section of a v2 document.
+/// One named section of a snapshot.
 struct SerializedSection {
   std::string name;
   std::vector<std::string> lines;
 };
 
-/// Serializes `dataset` plus `sections` as a v2 document. CP_CHECK-fails
-/// on section names/lines that violate the framing rules above.
-std::string SerializeIncompleteDatasetV2(
+/// Serializes `dataset` plus `sections`. CP_CHECK-fails on section names
+/// or lines that violate the framing rules above.
+std::string SerializeIncompleteDataset(
     const IncompleteDataset& dataset,
     const std::vector<SerializedSection>& sections);
 
-// --- v3: dataset + sections + version ---------------------------------------
-//
-// v3 is v2 with the dataset's `version()` carried in the header:
-//
-//   cpclean-incomplete-v3 <num_labels> <dim> <version>
-//
-// The version is the sequence-number anchor for the append-only cleaning
-// log: a `<name>.cplog` record with seq > the base snapshot's version is
-// newer than the base and must be replayed on rehydration. Deserializing
-// a v3 document restores the stored version onto the rebuilt dataset
-// (`OverrideVersionForReplay`).
-
-/// Serializes `dataset` plus `sections` as a v3 document.
-std::string SerializeIncompleteDatasetV3(
-    const IncompleteDataset& dataset,
-    const std::vector<SerializedSection>& sections);
-
-struct DeserializedDatasetV2 {
+struct DeserializedDataset {
+  /// Carries the stored version (`OverrideVersionForReplay`).
   IncompleteDataset dataset;
   std::vector<SerializedSection> sections;
-  /// True when the input carried an explicit version (v3); the dataset's
-  /// `version()` then equals the stored value.
-  bool has_version = false;
 };
 
-/// Parses a v1, v2, or v3 document, surfacing the sections (always empty
-/// for v1 input).
-Result<DeserializedDatasetV2> DeserializeIncompleteDatasetV2(
+/// Parses a document produced by `SerializeIncompleteDataset`; any other
+/// header (including the retired v1/v2 formats) is a ParseError.
+Result<DeserializedDataset> DeserializeIncompleteDataset(
     const std::string& text);
-
-/// File variants.
-Status SaveIncompleteDataset(const IncompleteDataset& dataset,
-                             const std::string& path);
-Result<IncompleteDataset> LoadIncompleteDataset(const std::string& path);
 
 }  // namespace cpclean
 

@@ -295,32 +295,22 @@ Result<JsonValue> Server::SaveSession(const JsonValue& req) {
   // The store serializes OUTSIDE the lifecycle lock (serialization blocks
   // on the session's shared_mutex — a long clean_run could hold that for
   // a while — and unrelated lifecycle ops must not queue behind it); only
-  // the disk commit is a lifecycle transition, gated on the re-validation
-  // callback below running under the lock.
-  bool evicted_during_save = false;
-  const Status saved = store_.Save(
-      *session, /*write_seq_out=*/nullptr, &lifecycle_mu_,
-      [&]() -> Status {
-        const Result<std::shared_ptr<ServeSession>> current =
-            registry_.Get(name);
-        if (current.ok() && current.value().get() == session.get()) {
-          return Status::OK();
-        }
-        if (store_.Saved(name)) {
-          // Evicted while we serialized; the sweep's save is at least as
-          // fresh as ours. Abort the commit and keep it.
-          evicted_during_save = true;
-          return Status::Unavailable("evicted during save");
-        }
-        // Dropped while we serialized: committing now would resurrect it.
-        return Status::NotFound(StrFormat(
-            "session \"%s\" was dropped while being saved", name.c_str()));
-      });
-  if (evicted_during_save) {
+  // the disk commit is a lifecycle transition, made only while the
+  // registry still holds this instance.
+  CP_ASSIGN_OR_RETURN(
+      const bool committed,
+      store_.SavePublished(registry_, lifecycle_mu_, *session));
+  if (!committed) {
+    if (!store_.Saved(name)) {
+      // Dropped while we serialized: committing would have resurrected it.
+      return Status::NotFound(StrFormat(
+          "session \"%s\" was dropped while being saved", name.c_str()));
+    }
+    // Evicted while we serialized; the sweep's save is at least as fresh
+    // as ours.
     out.Set("state", JsonValue("evicted"));
     return out;
   }
-  CP_RETURN_NOT_OK(saved);
   out.Set("state", JsonValue("live"));
   return out;
 }

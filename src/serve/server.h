@@ -118,12 +118,15 @@ struct ServerOptions {
 /// Concurrency: per-session ops are classified read (q2, predict,
 /// certify, explain, why_certified, stats — and save_session's snapshot
 /// serialization) vs write (clean_step, clean_run); reads on one session
-/// run concurrently on its shared lock, writes serialize. Lifecycle transitions (create/publish,
-/// drop, the snapshot file write of save, load/rehydration publication,
-/// eviction) additionally serialize on a server-wide lifecycle mutex —
-/// expensive work (task builds, snapshot loads/serialization) happens
-/// outside it. Different sessions always proceed concurrently and share
-/// the process-global thread pool.
+/// run concurrently on its shared lock, writes serialize. Lifecycle
+/// transitions (create/publish, drop, the disk commit of a save,
+/// load/rehydration publication, eviction) additionally serialize on a
+/// server-wide lifecycle mutex — expensive work (task builds, snapshot
+/// loads/serialization) happens outside it. Saves and eviction sweeps
+/// order on the store's save mutex. Lock order: store save order →
+/// session locks → lifecycle → store durable state (see SessionStore).
+/// Different sessions always proceed concurrently and share the
+/// process-global thread pool.
 ///
 /// Lifecycle: with a `data_dir`, sessions move live → evicted (LRU past
 /// `max_sessions`, saved to disk) → rehydrated (lazily, on the next
@@ -242,12 +245,14 @@ class Server {
   SessionRegistry registry_;
   SessionStore store_;
   /// Serializes session lifecycle *transitions* — create/insert+evict,
-  /// drop (snapshot delete + registry drop), explicit save, rehydration —
-  /// so no interleaving can, e.g., re-write a snapshot a concurrent drop
-  /// just deleted or delete the one an eviction just wrote. Per-session
-  /// query/cleaning ops never take it (they run under the session's own
-  /// shared_mutex), and neither does the live-session fast path of
-  /// FindSession, so the data plane is unaffected.
+  /// drop (snapshot delete + registry drop), a save's disk commit,
+  /// rehydration — so no interleaving can, e.g., re-write a snapshot a
+  /// concurrent drop just deleted or delete the one an eviction just
+  /// wrote. Taken after the store's save order mutex and any session
+  /// lock, never before. Per-session query/cleaning ops never take it
+  /// (they run under the session's own shared_mutex), and neither does
+  /// the live-session fast path of FindSession, so the data plane is
+  /// unaffected.
   std::mutex lifecycle_mu_;
   std::atomic<bool> stopping_{false};
   std::atomic<int> bound_port_{-1};

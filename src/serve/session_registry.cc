@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <utility>
 
 #include "cleaning/certify.h"
@@ -436,12 +437,6 @@ JsonValue ServeSession::Stats() {
   return out;
 }
 
-std::string ServeSession::SerializeSnapshot(uint64_t* write_seq_out,
-                                            uint64_t* version_out) {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return SerializeSnapshotLocked(write_seq_out, version_out);
-}
-
 ServeSession::SnapshotDelta ServeSession::SerializeDelta(
     uint64_t since_version) {
   std::shared_lock<std::shared_mutex> lock(mu_);
@@ -454,16 +449,13 @@ ServeSession::SnapshotDelta ServeSession::SerializeDelta(
   return delta;
 }
 
-std::string ServeSession::SerializeSnapshotLocked(uint64_t* write_seq_out,
-                                                  uint64_t* version_out) {
+std::string ServeSession::SerializeSnapshot(uint64_t* write_seq_out,
+                                            uint64_t* version_out) {
+  std::shared_lock<std::shared_mutex> lock(mu_);
   // Coherent with the bits below: mutations need the exclusive lock, so
-  // under either lock mode the counter cannot move mid-serialization.
-  if (write_seq_out != nullptr) {
-    *write_seq_out = write_seq_.load(std::memory_order_relaxed);
-  }
-  if (version_out != nullptr) {
-    *version_out = cleaner_->working().version();
-  }
+  // the counter cannot move mid-serialization.
+  *write_seq_out = write_seq_.load(std::memory_order_relaxed);
+  *version_out = cleaner_->working().version();
   std::vector<SerializedSection> sections;
   if (spec_.is_object()) {
     sections.push_back(SerializedSection{"spec", {spec_.Dump()}});
@@ -497,20 +489,7 @@ std::string ServeSession::SerializeSnapshotLocked(uint64_t* write_seq_out,
       "task",
       {StrFormat("fingerprint %016llx",
                  static_cast<unsigned long long>(TaskFingerprint(task_)))}});
-  return SerializeIncompleteDatasetV3(cleaner_->working(), sections);
-}
-
-std::optional<std::string> ServeSession::RetireAndResnapshot(
-    uint64_t since_write_seq) {
-  // The exclusive lock drains in-flight writers before the retired flag
-  // flips, so every acknowledged mutation is visible to the dirty check —
-  // and any writer queued behind us observes retired_ and refuses.
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  retired_ = true;
-  if (write_seq_.load(std::memory_order_relaxed) == since_write_seq) {
-    return std::nullopt;
-  }
-  return SerializeSnapshotLocked(nullptr);
+  return SerializeIncompleteDataset(cleaner_->working(), sections);
 }
 
 bool ServeSession::Retire(uint64_t since_write_seq) {

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
@@ -157,15 +156,15 @@ class ServeSession {
   /// options, last-request timestamp, cache + engine-pool counters.
   JsonValue Stats();
 
-  /// Serializes the session as a v3 incomplete-dataset document (working
-  /// dataset + version + "spec" and "cleaning" sections) for the session
-  /// store. When `write_seq_out` is non-null it receives the
-  /// `write_seq()` the snapshot captured — coherent with the serialized
-  /// bits because writes take the exclusive lock, so no mutation can
-  /// interleave. `version_out` likewise receives the working dataset's
-  /// `version()` (the cleaning log's sequence anchor).
-  std::string SerializeSnapshot(uint64_t* write_seq_out = nullptr,
-                                uint64_t* version_out = nullptr);
+  /// Serializes the session as an incomplete-dataset snapshot (working
+  /// dataset + version + "spec", "cleaning", "audit" and "task" sections)
+  /// for the session store. `write_seq_out` receives the `write_seq()`
+  /// the snapshot captured — coherent with the serialized bits because
+  /// writes take the exclusive lock, so no mutation can interleave — and
+  /// `version_out` the working dataset's `version()` (the cleaning log's
+  /// sequence anchor).
+  std::string SerializeSnapshot(uint64_t* write_seq_out,
+                                uint64_t* version_out);
 
   /// Everything the session mutated since a durable version — the
   /// O(delta) alternative to SerializeSnapshot.
@@ -213,27 +212,17 @@ class ServeSession {
   /// instance): takes the exclusive lock (draining in-flight writers),
   /// marks the session retired — every later write op answers
   /// Unavailable("evicted; retry") instead of mutating an instance about
-  /// to be dropped — and, if `write_seq()` advanced past
-  /// `since_write_seq` (a write was acknowledged after the sweep's
-  /// snapshot was serialized), returns a fresh snapshot for the sweep to
-  /// re-save. Returns nullopt when the saved snapshot is already current.
-  /// Together with the dirty check this closes the save→drop window: an
-  /// acknowledged write is either in the first snapshot, in the re-save,
-  /// or was never acknowledged.
-  std::optional<std::string> RetireAndResnapshot(uint64_t since_write_seq);
-
-  /// The delta-aware variant of the commit point: takes the exclusive
-  /// lock, marks the session retired, and returns whether `write_seq()`
-  /// advanced past `since_write_seq` — i.e. whether the save the sweep
-  /// prepared is stale and must be re-prepared. Unlike
-  /// `RetireAndResnapshot` it serializes nothing; once retired no writer
-  /// can mutate the session, so the sweep re-prepares (delta or full) at
-  /// its leisure outside the exclusive lock.
+  /// to be dropped — and returns whether `write_seq()` advanced past
+  /// `since_write_seq`, i.e. whether a write was acknowledged after the
+  /// sweep prepared its save, which must then be re-prepared. Once retired
+  /// no writer can mutate the session, so the sweep re-prepares outside
+  /// the exclusive lock. Together with the dirty check this closes the
+  /// save→drop window: an acknowledged write is either in the first save,
+  /// in the re-save, or was never acknowledged.
   bool Retire(uint64_t since_write_seq);
 
-  /// Rolls back `Retire`/`RetireAndResnapshot` when the re-save could not
-  /// be written (the sweep re-publishes the session instead of dropping
-  /// it).
+  /// Rolls back `Retire` when the re-save could not be written (the sweep
+  /// re-publishes the session instead of dropping it).
   void Unretire();
 
  private:
@@ -250,10 +239,6 @@ class ServeSession {
   template <typename Fn>
   Result<JsonValue> Cached(const std::string& key, uint64_t version,
                            Fn compute);
-
-  /// `SerializeSnapshot` body; the caller holds `mu_` (either mode).
-  std::string SerializeSnapshotLocked(uint64_t* write_seq_out,
-                                      uint64_t* version_out = nullptr);
 
   const std::string name_;
   CleaningTask task_;

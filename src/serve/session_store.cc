@@ -1,9 +1,14 @@
 #include "serve/session_store.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <cerrno>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -267,25 +272,36 @@ Status SessionStore::ValidateSavable(const ServeSession& session) {
   return Status::OK();
 }
 
-Status SessionStore::Save(ServeSession& session, uint64_t* write_seq_out,
-                          std::mutex* commit_mu,
-                          const std::function<Status()>& commit_check) {
-  if (!enabled()) {
-    return Status::Unavailable(
-        "session persistence is disabled (no --data-dir)");
-  }
+Status SessionStore::RequireEnabled() const {
+  if (enabled()) return Status::OK();
+  return Status::Unavailable(
+      "session persistence is disabled (no --data-dir)");
+}
+
+bool SessionStore::Publishes(const SessionRegistry& registry,
+                             const ServeSession& session) {
+  const Result<std::shared_ptr<ServeSession>> live =
+      registry.Get(session.name());
+  return live.ok() && live.value().get() == &session;
+}
+
+Status SessionStore::Save(ServeSession& session) {
+  CP_RETURN_NOT_OK(RequireEnabled());
   std::lock_guard<std::mutex> order(save_order_mu_);
-  CP_ASSIGN_OR_RETURN(PendingSave pending, PrepareSave(session));
-  std::unique_lock<std::mutex> commit_lock;
-  if (commit_mu != nullptr) {
-    commit_lock = std::unique_lock<std::mutex>(*commit_mu);
-  }
-  if (commit_check) {
-    CP_RETURN_NOT_OK(commit_check());
-  }
+  CP_ASSIGN_OR_RETURN(const PendingSave pending, PrepareSave(session));
+  return CommitSave(session.name(), pending);
+}
+
+Result<bool> SessionStore::SavePublished(SessionRegistry& registry,
+                                         std::mutex& lifecycle_mu,
+                                         ServeSession& session) {
+  CP_RETURN_NOT_OK(RequireEnabled());
+  std::lock_guard<std::mutex> order(save_order_mu_);
+  CP_ASSIGN_OR_RETURN(const PendingSave pending, PrepareSave(session));
+  std::lock_guard<std::mutex> lifecycle(lifecycle_mu);
+  if (!Publishes(registry, session)) return false;
   CP_RETURN_NOT_OK(CommitSave(session.name(), pending));
-  if (write_seq_out != nullptr) *write_seq_out = pending.write_seq;
-  return Status::OK();
+  return true;
 }
 
 Result<SessionStore::PendingSave> SessionStore::PrepareSave(
@@ -396,25 +412,6 @@ Status SessionStore::CommitSave(const std::string& name,
   return Status::OK();
 }
 
-Status SessionStore::WriteSnapshot(const std::string& name,
-                                   const std::string& text) {
-  if (!enabled()) {
-    return Status::Unavailable(
-        "session persistence is disabled (no --data-dir)");
-  }
-  CP_RETURN_NOT_OK(WriteFileAtomic(PathFor(name), text));
-  // Raw full-state write at an unknown version: any cleaning log on disk
-  // no longer extends this base, and the delta baseline is void until
-  // the next full Save re-establishes one.
-  {
-    std::lock_guard<std::mutex> lock(durable_mu_);
-    durable_.erase(name);
-  }
-  std::error_code ec;
-  std::filesystem::remove(LogPathFor(name), ec);
-  return Status::OK();
-}
-
 bool SessionStore::DegradedFastFail(Status* status) {
   // Degraded fast-fail: a disk that just failed will almost certainly
   // fail again; don't pay (or retry-storm) the IO until the backoff
@@ -461,28 +458,32 @@ Status SessionStore::WriteFileAtomic(const std::string& path,
     if (FaultHit("store.open")) {
       return Status::IoError("cannot open for writing (injected): " + tmp);
     }
-    {
-      std::ofstream file(tmp, std::ios::trunc);
-      if (!file) {
-        return Status::IoError("cannot open for writing: " + tmp);
-      }
-      if (FaultHit("store.write")) {
-        // Injected short write: half the bytes land, then the device
-        // fails. The torn temp must be reclaimed and the error surfaced.
-        file << std::string_view(text).substr(0, text.size() / 2);
-        file.close();
-        std::filesystem::remove(tmp, ec);
-        return Status::IoError("short write (injected): " + tmp);
-      }
-      file << text;
-      // Close explicitly and re-check: the final buffered flush can be the
-      // write that hits ENOSPC, and installing a silently truncated
-      // snapshot would destroy the session's only copy at eviction time.
-      file.close();
-      if (!file || FaultHit("store.flush")) {
-        std::filesystem::remove(tmp, ec);  // don't leak the partial temp
-        return Status::IoError("write failed: " + tmp);
-      }
+    const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    if (fd < 0) {
+      return Status::IoError(StrFormat("cannot open %s for writing: %s",
+                                       tmp.c_str(), std::strerror(errno)));
+    }
+    // Injected short write: half the bytes land, then the device fails.
+    // The torn temp must be reclaimed and the error surfaced.
+    const size_t want =
+        FaultHit("store.write") ? text.size() / 2 : text.size();
+    size_t done = 0;
+    while (done < want) {
+      const ssize_t n = ::write(fd, text.data() + done, want - done);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) break;
+      done += static_cast<size_t>(n);
+    }
+    // The bytes must be on disk before the rename publishes them: the
+    // caller unlinks the cleaning log right after, so a base a power loss
+    // could still empty would take the session's only copy with it. A
+    // failed fsync (or close — the last chance to see ENOSPC) installs
+    // nothing.
+    const bool synced = done == text.size() && !FaultHit("store.flush") &&
+                        ::fsync(fd) == 0;
+    if (::close(fd) != 0 || !synced) {
+      std::filesystem::remove(tmp, ec);  // don't leak the partial temp
+      return Status::IoError("write failed: " + tmp);
     }
     if (FaultHit("store.rename")) {
       std::filesystem::remove(tmp, ec);
@@ -496,6 +497,16 @@ Status SessionStore::WriteFileAtomic(const std::string& path,
                                     path.c_str(), ec.message().c_str()));
       std::filesystem::remove(tmp, ec);
       return status;
+    }
+    // And the rename itself must be durable before the log goes.
+    const int dir_fd =
+        ::open(options_.data_dir.c_str(), O_RDONLY | O_DIRECTORY);
+    const int dir_err = dir_fd < 0 || ::fsync(dir_fd) != 0 ? errno : 0;
+    if (dir_fd >= 0) ::close(dir_fd);
+    if (dir_err != 0) {
+      return Status::IoError(StrFormat("cannot fsync data dir %s: %s",
+                                       options_.data_dir.c_str(),
+                                       std::strerror(dir_err)));
     }
     return Status::OK();
   }();
@@ -558,10 +569,7 @@ bool SessionStore::CheckDegraded() {
 
 Result<std::shared_ptr<ServeSession>> SessionStore::Load(
     const std::string& name) {
-  if (!enabled()) {
-    return Status::Unavailable(
-        "session persistence is disabled (no --data-dir)");
-  }
+  CP_RETURN_NOT_OK(RequireEnabled());
   const uint64_t start_ns = MonotonicNowNs();
   Result<std::shared_ptr<ServeSession>> result =
       [&]() -> Result<std::shared_ptr<ServeSession>> {
@@ -573,8 +581,8 @@ Result<std::shared_ptr<ServeSession>> SessionStore::Load(
   }
   std::ostringstream buffer;
   buffer << file.rdbuf();
-  CP_ASSIGN_OR_RETURN(DeserializedDatasetV2 parsed,
-                      DeserializeIncompleteDatasetV2(buffer.str()));
+  CP_ASSIGN_OR_RETURN(DeserializedDataset parsed,
+                      DeserializeIncompleteDataset(buffer.str()));
 
   // Replay the cleaning log (if any) onto the base before anything else:
   // the replayed dataset is the durable truth the rebuilt session must be
@@ -585,12 +593,6 @@ Result<std::shared_ptr<ServeSession>> SessionStore::Load(
   CP_ASSIGN_OR_RETURN(const LogScan scan, ScanCleaningLogForAppend(log_path));
   std::vector<int> log_fix_ids;
   if (!scan.records.empty()) {
-    if (!parsed.has_version) {
-      return Status::Internal(StrFormat(
-          "%s: a cleaning log exists but the base snapshot is pre-v3 and "
-          "carries no version to anchor replay",
-          path.c_str()));
-    }
     for (const MutationRecord& record : scan.records) {
       if (record.kind != MutationRecord::Kind::kFix) {
         // Serving sessions only ever fix examples; replaying anything
@@ -680,15 +682,13 @@ Result<std::shared_ptr<ServeSession>> SessionStore::Load(
       CleaningAuditRecord record;
       CP_ASSIGN_OR_RETURN(record.step, ParseInt(rec[0]));
       CP_ASSIGN_OR_RETURN(record.example, ParseInt(rec[1]));
-      {
-        std::istringstream version_stream(rec[2]);
-        version_stream >> record.version;
-        if (version_stream.fail()) {
-          return Status::ParseError(StrFormat(
-              "%s: audit record %d: unparseable version", path.c_str(),
-              static_cast<int>(l)));
-        }
+      const Result<uint64_t> version = ParseUint64(rec[2], 10);
+      if (!version.ok()) {
+        return Status::ParseError(StrFormat(
+            "%s: audit record %d: unparseable version", path.c_str(),
+            static_cast<int>(l)));
       }
+      record.version = version.value();
       CP_ASSIGN_OR_RETURN(const int num_certain, ParseInt(rec[3]));
       if (num_certain < 0 ||
           static_cast<size_t>(num_certain) != rec.size() - 4) {
@@ -720,13 +720,9 @@ Result<std::shared_ptr<ServeSession>> SessionStore::Load(
   if (task_fields.size() != 2 || task_fields[0] != "fingerprint") {
     return Status::ParseError(path + ": expected 'fingerprint <hex>'");
   }
-  uint64_t want_fingerprint = 0;
-  {
-    std::istringstream hex_stream(task_fields[1]);
-    hex_stream >> std::hex >> want_fingerprint;
-    if (hex_stream.fail()) {
-      return Status::ParseError(path + ": unparseable task fingerprint");
-    }
+  const Result<uint64_t> want_fingerprint = ParseUint64(task_fields[1], 16);
+  if (!want_fingerprint.ok()) {
+    return Status::ParseError(path + ": unparseable task fingerprint");
   }
 
   CP_ASSIGN_OR_RETURN(
@@ -738,7 +734,7 @@ Result<std::shared_ptr<ServeSession>> SessionStore::Load(
   options.mmap_scratch_dir = options_.mmap_scratch_dir;
   options.stream_window_bytes = options_.stream_window_bytes;
   CP_ASSIGN_OR_RETURN(CleaningTask task, BuildTaskFromSpec(spec));
-  if (TaskFingerprint(task) != want_fingerprint) {
+  if (TaskFingerprint(task) != want_fingerprint.value()) {
     // The working dataset is bit-verified separately (RestoreCleaning);
     // this catches drift in what that check cannot see — validation/test
     // CSVs or the oracle changed on disk since the snapshot was saved.
@@ -761,28 +757,25 @@ Result<std::shared_ptr<ServeSession>> SessionStore::Load(
   cleaning_snapshot.audit = std::move(audit);
   CP_RETURN_NOT_OK(
       session->RestoreCleaning(cleaning_snapshot, parsed.dataset));
-  // The on-disk state is now known-good: future saves of this session can
-  // extend the log from the replayed version instead of rewriting the
-  // base. Pre-v3 bases carry no version, so their first save compacts.
-  if (parsed.has_version) {
-    // Version-determinism check: the rebuilt session must sit at exactly
-    // the version the base+log reached, or the next delta's sequence
-    // numbers would not line up with the log on disk.
-    const ServeSession::SnapshotDelta check =
-        session->SerializeDelta(parsed.dataset.version());
-    if (!check.available || check.version != parsed.dataset.version() ||
-        !check.records.empty()) {
-      return Status::Internal(StrFormat(
-          "session \"%s\": rebuilt working version %llu does not match the "
-          "durable version %llu",
-          name.c_str(), static_cast<unsigned long long>(check.version),
-          static_cast<unsigned long long>(parsed.dataset.version())));
-    }
-    std::lock_guard<std::mutex> lock(durable_mu_);
-    durable_[name] =
-        DurableState{base_version, parsed.dataset.version(),
-                     scan.durable_bytes};
+  // Version-determinism check: the rebuilt session must sit at exactly
+  // the version the base+log reached, or the next delta's sequence
+  // numbers would not line up with the log on disk.
+  const ServeSession::SnapshotDelta check =
+      session->SerializeDelta(parsed.dataset.version());
+  if (!check.available || check.version != parsed.dataset.version() ||
+      !check.records.empty()) {
+    return Status::Internal(StrFormat(
+        "session \"%s\": rebuilt working version %llu does not match the "
+        "durable version %llu",
+        name.c_str(), static_cast<unsigned long long>(check.version),
+        static_cast<unsigned long long>(parsed.dataset.version())));
   }
+  // The on-disk state is now known-good: future saves of this session
+  // extend the log from the replayed version instead of rewriting the
+  // base.
+  std::lock_guard<std::mutex> lock(durable_mu_);
+  durable_[name] = DurableState{base_version, parsed.dataset.version(),
+                                scan.durable_bytes};
   return session;
   }();
   if (result.ok()) {
@@ -801,10 +794,7 @@ Result<std::shared_ptr<ServeSession>> SessionStore::Load(
 }
 
 Status SessionStore::Delete(const std::string& name) {
-  if (!enabled()) {
-    return Status::Unavailable(
-        "session persistence is disabled (no --data-dir)");
-  }
+  CP_RETURN_NOT_OK(RequireEnabled());
   {
     std::lock_guard<std::mutex> lock(durable_mu_);
     durable_.erase(name);
@@ -863,10 +853,12 @@ Result<std::vector<std::string>> SessionStore::EnforceCapacity(
     SessionRegistry& registry, std::mutex& lifecycle_mu) {
   std::vector<std::string> evicted;
   if (options_.max_sessions == 0) return evicted;
-  // One sweep at a time: concurrent sweeps would race to retire the same
-  // LRU victim. Callers must NOT hold `lifecycle_mu` — the sweep takes it
-  // only around its commit below.
-  std::lock_guard<std::mutex> sweep(sweep_mu_);
+  // One sweep at a time, and no save in between: the sweep holds the
+  // save order mutex for its whole loop, so no second sweep races it to
+  // retire the same LRU victim and no client save interleaves its own
+  // delta append with the eviction's on a victim's log. Callers must NOT
+  // hold `lifecycle_mu` — the sweep takes it only around each commit.
+  std::lock_guard<std::mutex> order(save_order_mu_);
   // Bounds the retry paths below: under sustained load on every session
   // the sweep must still terminate. Exhaustion only costs LRU accuracy
   // (a recently-touched victim gets evicted anyway) — never a write: the
@@ -895,15 +887,8 @@ Result<std::vector<std::string>> SessionStore::EnforceCapacity(
     // shared lock (a long clean_run could hold that for a while) and
     // retirement drains its in-flight writers — neither may stall every
     // unrelated lifecycle transition.
-    CP_RETURN_NOT_OK(ValidateSavable(*victim));
     const uint64_t seq_before_save = victim->last_request_seq();
-    // Saves order on save_order_mu_ (see Save): held across the prepare /
-    // retire / commit so no client save interleaves its own delta append
-    // with the eviction's on this session's log.
-    std::unique_lock<std::mutex> order(save_order_mu_);
-    Result<PendingSave> prepared = PrepareSave(*victim);
-    if (!prepared.ok()) return prepared.status();
-    PendingSave pending = std::move(prepared).value();
+    CP_ASSIGN_OR_RETURN(PendingSave pending, PrepareSave(*victim));
     if (victim->last_request_seq() != seq_before_save && retries_left > 0) {
       --retries_left;
       // A request landed while the save was being prepared — the session
@@ -917,22 +902,19 @@ Result<std::vector<std::string>> SessionStore::EnforceCapacity(
     // and retirement — acknowledged to its client, so it must not be lost
     // — triggers a re-prepare against the now-final state.
     if (victim->Retire(pending.write_seq)) {
-      prepared = PrepareSave(*victim);
+      Result<PendingSave> prepared = PrepareSave(*victim);
       if (!prepared.ok()) {
         victim->Unretire();
         return prepared.status();
       }
       pending = std::move(prepared).value();
     }
-    // Commit under the lifecycle mutex: re-validate that the registry
-    // still holds this exact instance (a drop_session racing the
-    // serialization deleted the name — writing our snapshot back would
-    // resurrect it), commit the save, drop the live entry.
+    // Commit under the lifecycle mutex, re-validated against a racing
+    // drop (writing our snapshot back would resurrect the name), then
+    // drop the live entry.
     {
       std::lock_guard<std::mutex> lifecycle(lifecycle_mu);
-      const Result<std::shared_ptr<ServeSession>> live =
-          registry.Get(victim->name());
-      if (!live.ok() || live.value().get() != victim.get()) {
+      if (!Publishes(registry, *victim)) {
         victim->Unretire();  // detached instance; the registry moved on
         if (retries_left == 0) break;
         --retries_left;

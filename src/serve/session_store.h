@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -66,7 +65,8 @@ struct SessionStoreOptions {
 ///     bit-identity verification) and its dataset version, plus a "spec"
 ///     section (the create_session parameter JSON that rebuilds the
 ///     task), a "cleaning" section (`cleaned <n> <ids...>`, the replay
-///     order), and a "task" section (`fingerprint <hex>`, hashing the
+///     order), an "audit" section (the per-step cleaning audit trail),
+///     and a "task" section (`fingerprint <hex>`, hashing the
 ///     validation/test/oracle data the working dataset does not cover).
 ///   - `<data-dir>/<escaped-name>.cplog` — checksummed mutation records
 ///     appended since the base was written (see cleaning_log.h).
@@ -75,7 +75,7 @@ struct SessionStoreOptions {
 /// are fsync-appended to the log — O(changes), independent of dataset
 /// size. When the log would outgrow `log_compact_bytes` (or the store
 /// has no durable baseline for the session), the save writes a fresh
-/// full base atomically and drops the log (compaction). Rehydration
+/// full base atomically and durably, then drops the log (compaction). Rehydration
 /// loads the base, replays the log (tolerating a torn final record —
 /// the one append that was never acknowledged), rebuilds the task from
 /// the spec, replays the cleaning order, and fails loudly if either the
@@ -106,26 +106,19 @@ class SessionStore {
   /// durable version when the store holds a baseline for it (O(delta)),
   /// else a full atomic base-snapshot write; a no-op when nothing changed.
   /// Unavailable when persistence is disabled; see `ValidateSavable` for
-  /// the spec requirement.
-  ///
-  /// `write_seq_out`, when non-null, receives the session `write_seq()`
-  /// the save captured. The expensive half (serialization) runs before
-  /// the commit; callers that must re-validate liveness against a racing
-  /// drop pass their lifecycle mutex as `commit_mu` and the check as
-  /// `commit_check` — the disk commit then happens with `commit_mu` held,
-  /// after `commit_check` returns OK (a non-OK check aborts the save and
-  /// is returned). Saves of all sessions serialize on an internal order
-  /// mutex so two delta appends can never interleave on one log.
-  Status Save(ServeSession& session, uint64_t* write_seq_out = nullptr,
-              std::mutex* commit_mu = nullptr,
-              const std::function<Status()>& commit_check = nullptr);
+  /// the spec requirement. Saves of all sessions serialize on an internal
+  /// order mutex so two delta appends can never interleave on one log.
+  Status Save(ServeSession& session);
 
-  /// Writes pre-serialized full snapshot `text` for `name` atomically,
-  /// bypassing delta tracking: any cleaning log for `name` is removed and
-  /// its delta baseline voided (the text's version is unknown), so the
-  /// next `Save` writes a fresh full base. Kept for tests and tools that
-  /// author snapshot bytes directly.
-  Status WriteSnapshot(const std::string& name, const std::string& text);
+  /// `Save` for a session published in `registry` (the save_session op):
+  /// serialization runs outside `lifecycle_mu`, the disk commit under it
+  /// and only while `registry` still holds this exact instance — a drop
+  /// racing the serialization deleted the name (writing it back would
+  /// resurrect the session), and an eviction superseded this save with
+  /// its own. Returns false, having written nothing, in that case. The
+  /// caller must NOT hold `lifecycle_mu`.
+  Result<bool> SavePublished(SessionRegistry& registry,
+                             std::mutex& lifecycle_mu, ServeSession& session);
 
   /// Loads `name`'s base snapshot, replays its cleaning log (truncating
   /// a torn tail), and rebuilds the session (unpublished — the caller
@@ -157,7 +150,8 @@ class SessionStore {
   /// The caller must NOT hold `lifecycle_mu`: the expensive half
   /// (serialization, writer drain) runs outside it, and only the commit
   /// (disk write + registry drop, re-validated against a racing drop)
-  /// takes it. Concurrent sweeps serialize on an internal mutex.
+  /// takes it. A sweep holds the save order mutex for its whole loop, so
+  /// concurrent sweeps and saves serialize behind it.
   Result<std::vector<std::string>> EnforceCapacity(SessionRegistry& registry,
                                                    std::mutex& lifecycle_mu);
 
@@ -195,6 +189,15 @@ class SessionStore {
     uint64_t write_seq = 0;  // session write_seq the save captured
   };
 
+  /// Unavailable when persistence is disabled.
+  Status RequireEnabled() const;
+
+  /// True when `registry` still holds this exact `session` instance: the
+  /// commit-time re-check of every save of a published session, made
+  /// under the caller's lifecycle mutex.
+  static bool Publishes(const SessionRegistry& registry,
+                        const ServeSession& session);
+
   /// Serializes the cheapest sufficient save for `session` (shared-lock
   /// read; no disk IO). Caller must hold `save_order_mu_`.
   Result<PendingSave> PrepareSave(ServeSession& session);
@@ -203,12 +206,14 @@ class SessionStore {
   /// Caller must hold `save_order_mu_`.
   Status CommitSave(const std::string& name, const PendingSave& pending);
 
-  /// Temp-write + close-check + rename, the single full-snapshot write
-  /// path (bases and degraded-mode probes alike). Carries the
-  /// fault-injection sites store.open / store.write / store.flush /
-  /// store.rename and feeds the degraded-mode state machine: any IO
-  /// failure degrades the store, any success heals it. Fast-fails without
-  /// touching the disk while degraded and inside the backoff window.
+  /// Temp-write + fsync + rename + directory fsync, the single
+  /// full-snapshot write path (bases and degraded-mode probes alike): on
+  /// success the new bytes are durable under `path`. Carries the
+  /// fault-injection sites store.open / store.write / store.flush (the
+  /// fsync) / store.rename and feeds the degraded-mode state machine: any
+  /// IO failure degrades the store, any success heals it. Fast-fails
+  /// without touching the disk while degraded and inside the backoff
+  /// window.
   Status WriteFileAtomic(const std::string& path, const std::string& text);
 
   /// Marks the store degraded (extending the backoff) or healed.
@@ -219,12 +224,11 @@ class SessionStore {
   bool DegradedFastFail(Status* status);
 
   SessionStoreOptions options_;
-  /// Serializes eviction sweeps (two sweeps would retire the same victim).
-  std::mutex sweep_mu_;
-  /// Serializes prepare→commit of every save: two concurrent delta saves
-  /// of one session would both diff against the same durable version and
-  /// append duplicate records. Ordering: sweep_mu_ → save_order_mu_ →
-  /// session locks → lifecycle_mu → durable_mu_.
+  /// Serializes prepare→commit of every save, and whole eviction sweeps:
+  /// two concurrent delta saves of one session would both diff against
+  /// the same durable version and append duplicate records, and two
+  /// sweeps would race to retire the same victim. Ordering:
+  /// save_order_mu_ → session locks → lifecycle_mu → durable_mu_.
   std::mutex save_order_mu_;
   /// Guards durable_ (leaf mutex).
   std::mutex durable_mu_;

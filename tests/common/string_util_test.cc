@@ -55,6 +55,26 @@ TEST(ParseIntTest, AcceptsIntsRejectsGarbageAndOverflow) {
   EXPECT_FALSE(ParseInt("99999999999999999999").ok());
 }
 
+TEST(ParseUint64Test, AcceptsDigitsOnly) {
+  EXPECT_EQ(ParseUint64("0", 10).value(), 0u);
+  EXPECT_EQ(ParseUint64("18446744073709551615", 10).value(), UINT64_MAX);
+  EXPECT_EQ(ParseUint64("00ff", 16).value(), 255u);
+  EXPECT_EQ(ParseUint64("ffffffffffffffff", 16).value(), UINT64_MAX);
+  // No sign, no whitespace, no trailing bytes, no empty input.
+  for (const char* bad : {"-1", "+1", " 1", "1 ", "1x", "", "0x10"}) {
+    const Result<uint64_t> parsed = ParseUint64(bad, 10);
+    ASSERT_FALSE(parsed.ok()) << "'" << bad << "'";
+    EXPECT_EQ(parsed.status().code(), StatusCode::kParseError) << bad;
+  }
+  EXPECT_FALSE(ParseUint64("-1", 16).ok());
+  EXPECT_FALSE(ParseUint64("abcg", 16).ok());
+  // Overflow is a ParseError, never a wrapped or saturated value.
+  EXPECT_EQ(ParseUint64("18446744073709551616", 10).status().code(),
+            StatusCode::kParseError);
+  EXPECT_EQ(ParseUint64("10000000000000000", 16).status().code(),
+            StatusCode::kParseError);
+}
+
 TEST(StrFormatTest, FormatsLikePrintf) {
   EXPECT_EQ(StrFormat("%d-%s", 3, "x"), "3-x");
   EXPECT_EQ(StrFormat("%.2f", 1.0 / 3.0), "0.33");

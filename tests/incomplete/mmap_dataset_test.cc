@@ -208,18 +208,11 @@ TEST(MmapDatasetTest, V3SerializationCarriesVersion) {
   IncompleteDataset dataset = MakeDataset(18);
   dataset.FixExample(1, 0);
   const uint64_t version = dataset.version();
-  const std::string text = SerializeIncompleteDatasetV3(dataset, {});
-  const Result<DeserializedDatasetV2> parsed =
-      DeserializeIncompleteDatasetV2(text);
+  const Result<DeserializedDataset> parsed =
+      DeserializeIncompleteDataset(SerializeIncompleteDataset(dataset, {}));
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_TRUE(parsed.value().has_version);
   EXPECT_EQ(parsed.value().dataset.version(), version);
   EXPECT_TRUE(BitIdentical(dataset, parsed.value().dataset));
-  // v2 text still parses, with no version claim.
-  const Result<DeserializedDatasetV2> v2 = DeserializeIncompleteDatasetV2(
-      SerializeIncompleteDatasetV2(dataset, {}));
-  ASSERT_TRUE(v2.ok());
-  EXPECT_FALSE(v2.value().has_version);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "tests/test_util.h"
 
 namespace cpclean {
@@ -25,6 +26,13 @@ bool DatasetsEqual(const IncompleteDataset& a, const IncompleteDataset& b) {
   return true;
 }
 
+/// Serializes `dataset` with no sections and parses it back.
+IncompleteDataset RoundTrip(const IncompleteDataset& dataset) {
+  return DeserializeIncompleteDataset(SerializeIncompleteDataset(dataset, {}))
+      .value()
+      .dataset;
+}
+
 TEST(SerializationTest, ExactRoundTrip) {
   RandomDatasetSpec spec;
   spec.num_examples = 14;
@@ -33,10 +41,7 @@ TEST(SerializationTest, ExactRoundTrip) {
   spec.dim = 5;
   spec.seed = 77;
   const IncompleteDataset original = MakeRandomDataset(spec);
-  const std::string text = SerializeIncompleteDataset(original);
-  const IncompleteDataset reloaded =
-      DeserializeIncompleteDataset(text).value();
-  EXPECT_TRUE(DatasetsEqual(original, reloaded));
+  EXPECT_TRUE(DatasetsEqual(original, RoundTrip(original)));
 }
 
 TEST(SerializationTest, HexFloatsRoundTripBitExactly) {
@@ -46,69 +51,80 @@ TEST(SerializationTest, HexFloatsRoundTripBitExactly) {
   CP_CHECK(dataset
                .AddExample({{{0.1, 0.2}, {3.3333333333333331, 1e300}}, 1})
                .ok());
-  const IncompleteDataset reloaded =
-      DeserializeIncompleteDataset(SerializeIncompleteDataset(dataset))
-          .value();
-  EXPECT_TRUE(DatasetsEqual(dataset, reloaded));
+  EXPECT_TRUE(DatasetsEqual(dataset, RoundTrip(dataset)));
 }
 
 TEST(SerializationTest, CommentsAndBlankLinesIgnored) {
   IncompleteDataset dataset(2);
   CP_CHECK(dataset.AddCleanExample({1.5}, 1).ok());
-  std::string text = SerializeIncompleteDataset(dataset);
+  std::string text = SerializeIncompleteDataset(dataset, {{"s", {"x"}}});
   text = "# a comment\n\n" + text + "\n# trailing\n";
   EXPECT_TRUE(DeserializeIncompleteDataset(text).ok());
 }
 
 TEST(SerializationTest, RejectsMalformedInput) {
   EXPECT_FALSE(DeserializeIncompleteDataset("").ok());
-  EXPECT_FALSE(DeserializeIncompleteDataset("wrong-magic 2 1\n").ok());
+  EXPECT_FALSE(DeserializeIncompleteDataset("wrong-magic 2 1 0\n").ok());
+  // Short header (the version is missing).
   EXPECT_FALSE(
-      DeserializeIncompleteDataset("cpclean-incomplete-v1 2\n").ok());
+      DeserializeIncompleteDataset("cpclean-incomplete-v3 2 1\n").ok());
   // Truncated candidate block.
   EXPECT_FALSE(DeserializeIncompleteDataset(
-                   "cpclean-incomplete-v1 2 1\nexample 0 2\n0x1p+0\n")
+                   "cpclean-incomplete-v3 2 1 0\nexample 0 2\n0x1p+0\n")
                    .ok());
-  // Wrong dimensionality.
+  // Wrong candidate arity.
   EXPECT_FALSE(DeserializeIncompleteDataset(
-                   "cpclean-incomplete-v1 2 2\nexample 0 1\n0x1p+0\n")
+                   "cpclean-incomplete-v3 2 2 0\nexample 0 1\n0x1p+0\n")
                    .ok());
   // Label out of range is caught by AddExample.
   EXPECT_FALSE(DeserializeIncompleteDataset(
-                   "cpclean-incomplete-v1 2 1\nexample 5 1\n0x1p+0\n")
+                   "cpclean-incomplete-v3 2 1 0\nexample 5 1\n0x1p+0\n")
                    .ok());
 }
 
-TEST(SerializationTest, FileRoundTrip) {
-  RandomDatasetSpec spec;
-  spec.num_examples = 6;
-  spec.seed = 99;
-  const IncompleteDataset original = MakeRandomDataset(spec);
-  const std::string path =
-      ::testing::TempDir() + "/cpclean_serialization_test.txt";
-  ASSERT_TRUE(SaveIncompleteDataset(original, path).ok());
-  const IncompleteDataset reloaded = LoadIncompleteDataset(path).value();
-  EXPECT_TRUE(DatasetsEqual(original, reloaded));
-  EXPECT_FALSE(LoadIncompleteDataset("/nonexistent/x.txt").ok());
+TEST(SerializationTest, RejectsRetiredV1AndV2Headers) {
+  // Well-formed documents in the retired formats: nothing writes them,
+  // so they parse as bad headers.
+  for (const char* text :
+       {"cpclean-incomplete-v1 2 1\nexample 0 1\n0x1p+0\n",
+        "cpclean-incomplete-v2 2 1\nexample 0 1\n0x1p+0\nsection s\nx\n"
+        "end\n"}) {
+    const Result<DeserializedDataset> parsed =
+        DeserializeIncompleteDataset(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_NE(parsed.status().message().find("bad header"), std::string::npos)
+        << parsed.status().ToString();
+  }
 }
 
-TEST(SerializationTest, V2RoundTripsDatasetAndSections) {
+TEST(SerializationTest, RejectsNonDigitHeaderVersion) {
+  for (const char* version : {"-1", "+1", "1x", "18446744073709551616"}) {
+    EXPECT_FALSE(DeserializeIncompleteDataset(
+                     StrFormat("cpclean-incomplete-v3 2 1 %s\n", version))
+                     .ok())
+        << version;
+  }
+}
+
+TEST(SerializationTest, RoundTripsDatasetSectionsAndVersion) {
   RandomDatasetSpec spec;
   spec.num_examples = 9;
   spec.max_candidates = 3;
   spec.num_labels = 2;
   spec.dim = 4;
   spec.seed = 123;
-  const IncompleteDataset original = MakeRandomDataset(spec);
+  IncompleteDataset original = MakeRandomDataset(spec);
+  original.FixExample(0, 0);
   const std::vector<SerializedSection> sections = {
       {"spec", {"{\"session\":\"a\",\"k\":3}"}},
       {"cleaning", {"cleaned 3 5 1 7"}},
   };
-  const std::string text = SerializeIncompleteDatasetV2(original, sections);
-  const DeserializedDatasetV2 parsed =
-      DeserializeIncompleteDatasetV2(text).value();
+  const std::string text = SerializeIncompleteDataset(original, sections);
+  const DeserializedDataset parsed =
+      DeserializeIncompleteDataset(text).value();
   EXPECT_TRUE(DatasetsEqual(original, parsed.dataset));
   EXPECT_TRUE(BitIdentical(original, parsed.dataset));
+  EXPECT_EQ(parsed.dataset.version(), original.version());
   ASSERT_EQ(parsed.sections.size(), 2u);
   EXPECT_EQ(parsed.sections[0].name, "spec");
   ASSERT_EQ(parsed.sections[0].lines.size(), 1u);
@@ -117,42 +133,27 @@ TEST(SerializationTest, V2RoundTripsDatasetAndSections) {
   EXPECT_EQ(parsed.sections[1].lines, sections[1].lines);
 }
 
-TEST(SerializationTest, V1EntryPointAcceptsV2AndIgnoresSections) {
-  IncompleteDataset dataset(2);
-  CP_CHECK(dataset.AddCleanExample({0.5, 1.5}, 0).ok());
-  const std::string text = SerializeIncompleteDatasetV2(
-      dataset, {{"extra", {"opaque payload"}}});
-  const IncompleteDataset reloaded =
-      DeserializeIncompleteDataset(text).value();
-  EXPECT_TRUE(DatasetsEqual(dataset, reloaded));
-}
-
-TEST(SerializationTest, V2EntryPointAcceptsV1WithNoSections) {
+TEST(SerializationTest, NoSectionsParsesToNone) {
   IncompleteDataset dataset(2);
   CP_CHECK(dataset.AddCleanExample({2.25}, 1).ok());
-  const DeserializedDatasetV2 parsed =
-      DeserializeIncompleteDatasetV2(SerializeIncompleteDataset(dataset))
+  const DeserializedDataset parsed =
+      DeserializeIncompleteDataset(SerializeIncompleteDataset(dataset, {}))
           .value();
   EXPECT_TRUE(DatasetsEqual(dataset, parsed.dataset));
   EXPECT_TRUE(parsed.sections.empty());
 }
 
-TEST(SerializationTest, V2RejectsMalformedSections) {
+TEST(SerializationTest, RejectsMalformedSections) {
   IncompleteDataset dataset(2);
   CP_CHECK(dataset.AddCleanExample({1.0}, 0).ok());
-  const std::string base = SerializeIncompleteDatasetV2(dataset, {});
+  const std::string base = SerializeIncompleteDataset(dataset, {});
   // Unterminated section.
   EXPECT_FALSE(
-      DeserializeIncompleteDatasetV2(base + "section hanging\npayload\n")
-          .ok());
+      DeserializeIncompleteDataset(base + "section hanging\npayload\n").ok());
   // An example block after a section violates the trailer layout.
-  EXPECT_FALSE(DeserializeIncompleteDatasetV2(
+  EXPECT_FALSE(DeserializeIncompleteDataset(
                    base + "section s\nx\nend\nexample 0 1\n0x1p+0\n")
                    .ok());
-  // Sections in a v1 document are malformed example lines.
-  std::string v1 = SerializeIncompleteDataset(dataset);
-  EXPECT_FALSE(
-      DeserializeIncompleteDatasetV2(v1 + "section s\nx\nend\n").ok());
 }
 
 TEST(SerializationTest, BitIdenticalDetectsValueAndShapeDrift) {

@@ -1,5 +1,5 @@
 // The degraded read-only mode and snapshot write atomicity under
-// injected disk faults: a failed write (open / short write / flush /
+// injected disk faults: a failed write (open / short write / fsync /
 // rename) never touches the previous snapshot and never leaves a temp
 // file behind; the store then fast-fails further writes inside an
 // exponential-backoff window, probes the disk when it elapses, and heals
@@ -12,6 +12,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -41,6 +42,17 @@ std::string FreshDataDir(const std::string& leaf) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;
+}
+
+/// Store options over `dir` with the given degraded-mode probe backoff.
+SessionStoreOptions StoreOptions(const std::string& dir,
+                                 int backoff_initial_ms = 100,
+                                 int backoff_max_ms = 5000) {
+  SessionStoreOptions options;
+  options.data_dir = dir;
+  options.degraded_backoff_initial_ms = backoff_initial_ms;
+  options.degraded_backoff_max_ms = backoff_max_ms;
+  return options;
 }
 
 std::string ReadFile(const std::string& path) {
@@ -90,38 +102,68 @@ bool StatsDegraded(Server* server) {
 
 TEST_F(DegradedModeTest, FailedWritesLeavePreviousSnapshotIntact) {
   const std::string dir = FreshDataDir("atomic");
-  // Short backoff so the store is writable again quickly after each
-  // injected failure.
-  SessionStore store({dir, 0, 1024, 30, 120});
+  // A saveable (spec-carrying) session, built by a server with no data
+  // dir so every write below goes through the stores under test.
+  Server builder{ServerOptions()};
+  ParseOk(builder.HandleLine(CreateRequest("s", 11)));
+  const std::shared_ptr<ServeSession> session =
+      builder.registry().Get("s").value();
 
-  ASSERT_TRUE(store.WriteSnapshot("s", "v1\n").ok());
-  const std::string path = store.PathFor("s");
-  ASSERT_EQ(ReadFile(path), "v1\n");
+  // The committed state: a base snapshot plus a one-step cleaning log.
+  {
+    SessionStore store(StoreOptions(dir));
+    ASSERT_TRUE(store.Save(*session).ok());
+    ASSERT_TRUE(session->CleanStep(1).ok());
+    ASSERT_TRUE(store.Save(*session).ok());
+  }
+  const std::string path = dir + "/s.cpsession";
+  const std::string log_path = dir + "/s.cplog";
+  const std::string base = ReadFile(path);
+  const std::string log = ReadFile(log_path);
+  ASSERT_FALSE(log.empty());
+  ASSERT_TRUE(session->CleanStep(1).ok());  // a new base would differ
 
-  // Every stage of the temp-write + rename pipeline fails in turn. None
-  // may corrupt or replace the committed snapshot, and none may leave its
-  // temp file behind.
+  // A store with no durable baseline saves a full base, which would fold
+  // the log away. Every stage of its temp-write + fsync + rename pipeline
+  // fails in turn — store.flush is the fsync. None may corrupt or replace
+  // the committed base, remove the log (a base that may not be on disk
+  // must never supersede it), or leave its temp file behind.
   for (const char* fault :
        {"store.open=once", "store.write=once", "store.flush=once",
         "store.rename=once"}) {
+    // Short backoff so the store is writable again quickly.
+    SessionStore store(StoreOptions(dir, 30, 120));
     ASSERT_TRUE(FaultInjection::Configure(fault).ok());
-    const Status failed = store.WriteSnapshot("s", "v2 must never land\n");
-    EXPECT_EQ(failed.code(), StatusCode::kIoError) << fault;
-    EXPECT_EQ(ReadFile(path), "v1\n") << fault;
+    EXPECT_EQ(store.Save(*session).code(), StatusCode::kIoError) << fault;
+    EXPECT_EQ(ReadFile(path), base) << fault;
+    EXPECT_EQ(ReadFile(log_path), log) << fault;
     EXPECT_TRUE(FilesContaining(dir, ".tmp").empty()) << fault;
 
     // Heal: clear the fault, wait out the backoff window, and prove the
-    // store writes again — then restore v1 for the next round.
+    // disk probe writes again.
     FaultInjection::Clear();
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    ASSERT_TRUE(store.WriteSnapshot("s", "v1\n").ok()) << fault;
     EXPECT_FALSE(store.CheckDegraded()) << fault;
   }
+
+  // The committed state still rehydrates, one step cleaned; a healthy
+  // full save then lands and folds the log away.
+  SessionStore store(StoreOptions(dir));
+  EXPECT_EQ(store.Load("s").value()->Stats().Find("num_cleaned")
+                ->number_value(),
+            1);
+  SessionStore fresh(StoreOptions(dir));
+  ASSERT_TRUE(fresh.Save(*session).ok());
+  EXPECT_NE(ReadFile(path), base);
+  EXPECT_FALSE(std::filesystem::exists(log_path));
 }
 
 TEST_F(DegradedModeTest, DegradedModeFastFailsThenProbesAndHeals) {
   const std::string dir = FreshDataDir("degraded_fsm");
-  SessionStore store({dir, 0, 1024, 50, 200});
+  SessionStore store(StoreOptions(dir, 50, 200));
+  Server builder{ServerOptions()};
+  ParseOk(builder.HandleLine(CreateRequest("s", 12)));
+  ServeSession& session = *builder.registry().Get("s").value();
 
   const auto site_hits = [] {
     for (const auto& s : FaultInjection::Stats()) {
@@ -130,13 +172,14 @@ TEST_F(DegradedModeTest, DegradedModeFastFailsThenProbesAndHeals) {
     return uint64_t{0};
   };
 
+  // No durable baseline yet, so every save is a full base write.
   ASSERT_TRUE(FaultInjection::Configure("store.open=always").ok());
-  EXPECT_EQ(store.WriteSnapshot("s", "x\n").code(), StatusCode::kIoError);
+  EXPECT_EQ(store.Save(session).code(), StatusCode::kIoError);
   EXPECT_EQ(site_hits(), 1u);
   EXPECT_TRUE(store.CheckDegraded());
   // Inside the backoff window: writes fast-fail without touching the disk
   // (the fault site is never reached) and without extending the backoff.
-  EXPECT_EQ(store.WriteSnapshot("s", "x\n").code(), StatusCode::kIoError);
+  EXPECT_EQ(store.Save(session).code(), StatusCode::kIoError);
   EXPECT_EQ(site_hits(), 1u);
 
   // Window elapses → CheckDegraded probes (a real disk attempt, so the
@@ -155,7 +198,7 @@ TEST_F(DegradedModeTest, DegradedModeFastFailsThenProbesAndHeals) {
   EXPECT_TRUE(healed);
   // The probe cleans up after itself.
   EXPECT_TRUE(FilesContaining(dir, ".cpclean_probe").empty());
-  EXPECT_TRUE(store.WriteSnapshot("s", "x\n").ok());
+  EXPECT_TRUE(store.Save(session).ok());
 }
 
 TEST_F(DegradedModeTest, ServerKeepsServingBitIdenticalWhileDegraded) {

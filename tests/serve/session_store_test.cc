@@ -11,9 +11,9 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/string_util.h"
@@ -47,6 +47,12 @@ std::string FreshDataDir(const std::string& leaf) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;
+}
+
+SessionStoreOptions StoreOptions(const std::string& data_dir) {
+  SessionStoreOptions options;
+  options.data_dir = data_dir;
+  return options;
 }
 
 Server MakeServer(const std::string& data_dir, size_t max_sessions = 0) {
@@ -341,7 +347,7 @@ TEST(SessionStoreTest, WriteDuringEvictionSnapshotTriggersDirtyResave) {
   // flag (write_seq advanced past the snapshot's) must force a re-save
   // that contains the write.
   const std::string dir = FreshDataDir("dirty_resave");
-  SessionStore store(SessionStoreOptions{dir, 0, 1024});
+  SessionStore store(StoreOptions(dir));
   const JsonValue spec =
       ParseJson(StrFormat(
                     "{\"session\":\"d\",\"source\":\"synthetic\",\"dataset\":"
@@ -357,9 +363,9 @@ TEST(SessionStoreTest, WriteDuringEvictionSnapshotTriggersDirtyResave) {
   const std::shared_ptr<ServeSession> session =
       ServeSession::Make("d", std::move(task), options, spec).value();
 
-  // Sweep phase 1: serialize + write the snapshot, note the write seq.
-  uint64_t snapshot_write_seq = 0;
-  ASSERT_TRUE(store.Save(*session, &snapshot_write_seq).ok());
+  // Sweep phase 1: prepare + write the save, note the write seq.
+  ASSERT_TRUE(store.Save(*session).ok());
+  const uint64_t snapshot_write_seq = session->write_seq();
   // The racing write: acknowledged to its client.
   const JsonValue stepped = session->CleanStep(2).value();
   const size_t steps_applied = stepped.Find("cleaned")->array().size();
@@ -367,26 +373,160 @@ TEST(SessionStoreTest, WriteDuringEvictionSnapshotTriggersDirtyResave) {
   EXPECT_GT(session->write_seq(), snapshot_write_seq);
 
   // Sweep phase 2: retire. The dirty flag must demand a re-save...
-  const std::optional<std::string> resnapshot =
-      session->RetireAndResnapshot(snapshot_write_seq);
-  ASSERT_TRUE(resnapshot.has_value());
-  ASSERT_TRUE(store.WriteSnapshot("d", *resnapshot).ok());
-  // ...and the re-saved snapshot carries the acknowledged write.
+  ASSERT_TRUE(session->Retire(snapshot_write_seq));
+  ASSERT_TRUE(store.Save(*session).ok());
+  // ...and the re-saved state carries the acknowledged write.
   const std::shared_ptr<ServeSession> rehydrated = store.Load("d").value();
   const JsonValue stats = rehydrated->Stats();
   EXPECT_EQ(static_cast<size_t>(stats.Find("num_cleaned")->number_value()),
             steps_applied);
 
-  // A clean (no write since serialization) retire needs no re-save.
-  uint64_t clean_seq = 0;
-  ASSERT_TRUE(store.Save(*rehydrated, &clean_seq).ok());
-  EXPECT_FALSE(rehydrated->RetireAndResnapshot(clean_seq).has_value());
+  // A clean (no write since the save) retire needs no re-save.
+  ASSERT_TRUE(store.Save(*rehydrated).ok());
+  EXPECT_FALSE(rehydrated->Retire(rehydrated->write_seq()));
   // Retired instances refuse writes; Unretire (the sweep's rollback when
   // the re-save fails) restores them.
   EXPECT_EQ(rehydrated->CleanStep(1).status().code(),
             StatusCode::kUnavailable);
   rehydrated->Unretire();
   EXPECT_TRUE(rehydrated->CleanStep(1).ok());
+}
+
+TEST(SessionStoreTest, CorruptAuditVersionFailsLoad) {
+  // The audit trail's version field is parsed strictly: a snapshot whose
+  // record reads "12abc" (once accepted as 12) no longer loads.
+  const std::string dir = FreshDataDir("bad_audit");
+  {
+    Server server = MakeServer(dir);
+    ParseOk(server.HandleLine(CreateRequest("t", 92)));
+    ParseOk(server.HandleLine(
+        "{\"op\":\"clean_step\",\"session\":\"t\"}"));
+    ParseOk(server.HandleLine("{\"op\":\"save_session\",\"session\":\"t\"}"));
+  }
+  SessionStore store(StoreOptions(dir));
+  ASSERT_TRUE(store.Load("t").ok());
+  const std::string path = store.PathFor("t");
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  in.close();
+  std::string text = buffer.str();
+  // The first audit record: "<step> <example> <version> <count> ...".
+  const size_t audit = text.find("\naudit 1\n");
+  ASSERT_NE(audit, std::string::npos) << text;
+  const size_t record = audit + std::string("\naudit 1\n").size();
+  const std::vector<std::string> fields =
+      Split(text.substr(record, text.find('\n', record) - record), ' ');
+  ASSERT_GE(fields.size(), 4u);
+  const size_t version_at =
+      record + fields[0].size() + 1 + fields[1].size() + 1;
+  text.insert(version_at + fields[2].size(), "abc");
+  std::ofstream out(path, std::ios::trunc);
+  out << text;
+  out.close();
+
+  const Result<std::shared_ptr<ServeSession>> loaded = store.Load("t");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
+  EXPECT_NE(loaded.status().message().find("unparseable version"),
+            std::string::npos)
+      << loaded.status().ToString();
+}
+
+TEST(SessionStoreTest, SaveRacingDropNeverResurrectsTheSession) {
+  // save_session serializes outside the lifecycle lock and commits under
+  // it only while the registry still holds the instance it serialized. A
+  // drop_session landing in between must win: no snapshot or log may be
+  // written back for a name the client was told is gone.
+  const std::string dir = FreshDataDir("save_vs_drop");
+  Server server = MakeServer(dir);
+  for (int round = 0; round < 12; ++round) {
+    const std::string name = StrFormat("r%d", round);
+    ParseOk(server.HandleLine(CreateRequest(name, 300 + round)));
+    ParseOk(server.HandleLine(StrFormat(
+        "{\"op\":\"clean_step\",\"session\":\"%s\"}", name.c_str())));
+    if (round % 2 == 1) {
+      // Odd rounds race a delta save (durable baseline in place) instead
+      // of a first full snapshot.
+      ParseOk(server.HandleLine(StrFormat(
+          "{\"op\":\"save_session\",\"session\":\"%s\"}", name.c_str())));
+      ParseOk(server.HandleLine(StrFormat(
+          "{\"op\":\"clean_step\",\"session\":\"%s\"}", name.c_str())));
+    }
+    std::string saved;
+    std::thread saver([&] {
+      saved = server.HandleLine(StrFormat(
+          "{\"op\":\"save_session\",\"session\":\"%s\"}", name.c_str()));
+    });
+    ParseOk(server.HandleLine(StrFormat(
+        "{\"op\":\"drop_session\",\"session\":\"%s\"}", name.c_str())));
+    saver.join();
+    // The save either committed before the drop (which then deleted it)
+    // or saw the drop and refused.
+    if (saved.find("\"ok\":true") == std::string::npos) {
+      EXPECT_NE(saved.find("\"Not found\""), std::string::npos) << saved;
+    }
+    EXPECT_FALSE(std::filesystem::exists(dir + "/" + name + ".cpsession"))
+        << saved;
+    EXPECT_FALSE(std::filesystem::exists(dir + "/" + name + ".cplog"))
+        << saved;
+    const std::string after = server.HandleLine(StrFormat(
+        "{\"op\":\"q2\",\"session\":\"%s\",\"val_indices\":[0]}",
+        name.c_str()));
+    EXPECT_NE(after.find("\"Not found\""), std::string::npos) << after;
+  }
+}
+
+TEST(SessionStoreTest, SaveRacingEvictionKeepsEveryAcknowledgedStep) {
+  // save_session racing the LRU sweep: the response is "live" (our save
+  // committed first) or "evicted" (the sweep's save superseded ours), and
+  // in every interleaving the rehydrated session holds every clean_step
+  // that was acknowledged — in the order a never-persisted twin cleans.
+  const std::string dir = FreshDataDir("save_vs_evict");
+  Server server = MakeServer(dir, /*max_sessions=*/1);
+  ParseOk(server.HandleLine(CreateRequest("a", 310)));
+  std::vector<int> acknowledged;
+  for (int round = 0; round < 6; ++round) {
+    std::string saved;
+    std::thread saver([&] {
+      // A write racing the sweep may hit the detached instance and be
+      // refused (never acknowledged); the retry lands on the live one.
+      for (int attempt = 0; attempt < 4; ++attempt) {
+        const std::string stepped =
+            server.HandleLine("{\"op\":\"clean_step\",\"session\":\"a\"}");
+        if (stepped.find("\"ok\":true") != std::string::npos) {
+          const std::vector<int> ids = CleanedIds(ParseOk(stepped));
+          acknowledged.insert(acknowledged.end(), ids.begin(), ids.end());
+          break;
+        }
+        EXPECT_NE(stepped.find("\"Unavailable\""), std::string::npos)
+            << stepped;
+      }
+      saved = server.HandleLine("{\"op\":\"save_session\",\"session\":\"a\"}");
+    });
+    // The decoy evicts "a" (the LRU, or rehydrated and LRU again).
+    ParseOk(server.HandleLine(
+        CreateRequest(StrFormat("decoy%d", round), 320 + round)));
+    saver.join();
+    const JsonValue result = ParseOk(saved);
+    const std::string state = result.Find("state")->string_value();
+    EXPECT_TRUE(state == "live" || state == "evicted") << saved;
+  }
+  ASSERT_FALSE(acknowledged.empty());
+
+  Server twin = MakeServer("");
+  ParseOk(twin.HandleLine(CreateRequest("a", 310)));
+  const std::vector<int> twin_order = CleanedIds(ParseOk(twin.HandleLine(
+      StrFormat("{\"op\":\"clean_step\",\"session\":\"a\",\"steps\":%d}",
+                static_cast<int>(acknowledged.size())))));
+  EXPECT_EQ(acknowledged, twin_order);
+  // A fresh process over the same data dir rehydrates all of it.
+  Server reloaded = MakeServer(dir);
+  const JsonValue stats =
+      ParseOk(reloaded.HandleLine("{\"op\":\"load_session\",\"session\":\"a\"}"));
+  EXPECT_EQ(static_cast<size_t>(stats.Find("num_cleaned")->number_value()),
+            acknowledged.size());
+  EXPECT_EQ(Q2Sweep(&reloaded, "a"), Q2Sweep(&twin, "a"));
 }
 
 TEST(SessionStoreTest, MaxSessionsWithoutDataDirRefusesCreation) {
