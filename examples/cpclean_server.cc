@@ -22,14 +22,18 @@
 // `--log-compact-bytes=N` sets the cleaning-log size at which a delta
 // save compacts into a fresh full base snapshot.
 //
-// TCP transport knobs: `--max-connections=N` bounds concurrent TCP
-// connections (an fd-table guard; overload gets a structured error),
-// `--max-inflight=N` bounds dispatched-but-unanswered requests (the real
-// admission control — idle connections are nearly free),
-// `--poller-threads=N` sets how many event-loop threads hold the
-// connections, `--request-workers=N` sizes the request execution pool
-// (0 = hardware concurrency), and `--no-coalesce` disables merging of
-// identical concurrent q2 requests into one engine evaluation.
+// TCP transport knobs: one event-loop thread holds every connection, and
+// identical concurrent q2 requests always merge into one engine
+// evaluation. `--max-connections=N` bounds concurrent TCP connections (an
+// fd-table guard; overload gets a structured error), `--max-inflight=N`
+// bounds dispatched-but-unanswered requests (the real admission control —
+// idle connections are nearly free), and `--request-workers=N` sizes the
+// request execution pool (0 = hardware concurrency). Both admission
+// bounds count process-wide.
+//
+// Every integer flag must parse as a whole 32-bit int (no trailing bytes,
+// no silent wrap), and `--port` must lie in [0, 65535]; a bad value exits
+// with status 2.
 //
 // Resilience knobs (README "Resilience"): `--request-timeout-ms=N`
 // answers DeadlineExceeded for requests unanswered after N ms (0 = no
@@ -55,6 +59,7 @@
 #include <string>
 #include <thread>
 
+#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "knn/kernel_simd.h"
 #include "serve/server.h"
@@ -69,12 +74,18 @@ void HandleSignal(int) {
   if (g_server != nullptr) g_server->RequestStop();
 }
 
-bool ParseIntFlag(const char* arg, const char* name, long* out) {
+/// Matches `NAME=VALUE`. A VALUE that is not a whole int exits with
+/// status 2 rather than being truncated or wrapped.
+bool ParseIntFlag(const char* arg, const char* name, int* out) {
   const size_t len = std::strlen(name);
   if (std::strncmp(arg, name, len) != 0 || arg[len] != '=') return false;
-  char* end = nullptr;
-  *out = std::strtol(arg + len + 1, &end, 10);
-  return end != nullptr && *end == '\0';
+  const cpclean::Result<int> value = cpclean::ParseInt(arg + len + 1);
+  if (!value.ok()) {
+    std::fprintf(stderr, "%s: %s\n", name, value.status().ToString().c_str());
+    std::exit(2);
+  }
+  *out = value.value();
+  return true;
 }
 
 bool ParseStringFlag(const char* arg, const char* name, std::string* out) {
@@ -89,29 +100,27 @@ bool ParseStringFlag(const char* arg, const char* name, std::string* out) {
 int main(int argc, char** argv) {
   using namespace cpclean;
 
-  long port = -1;
-  long threads = 0;
-  long cache = 1024;
-  long max_sessions = 0;
-  long max_connections = 0;
-  long max_inflight = 0;
-  long poller_threads = 1;
-  long request_workers = 0;
-  long request_timeout_ms = 0;
-  long idle_timeout_ms = 0;
-  long max_request_bytes = 1 << 20;
-  long output_hwm_bytes = 4 << 20;
-  long max_output_bytes = 32 << 20;
-  long metrics_port = -1;
-  long slow_request_ms = 0;
-  bool coalesce = true;
+  int port = -1;
+  int threads = 0;
+  int cache = 1024;
+  int max_sessions = 0;
+  int max_connections = 0;
+  int max_inflight = 0;
+  int request_workers = 0;
+  int request_timeout_ms = 0;
+  int idle_timeout_ms = 0;
+  int max_request_bytes = 1 << 20;
+  int output_hwm_bytes = 4 << 20;
+  int max_output_bytes = 32 << 20;
+  int metrics_port = -1;
+  int slow_request_ms = 0;
   std::string data_dir;
   std::string storage_mode = "ram";
-  long log_compact_bytes = 1 << 20;
+  int log_compact_bytes = 1 << 20;
   bool stdio = true;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    long value = 0;
+    int value = 0;
     if (std::strcmp(arg, "--stdio") == 0) {
       stdio = true;
       port = -1;
@@ -128,8 +137,6 @@ int main(int argc, char** argv) {
       max_connections = value;
     } else if (ParseIntFlag(arg, "--max-inflight", &value)) {
       max_inflight = value;
-    } else if (ParseIntFlag(arg, "--poller-threads", &value)) {
-      poller_threads = value;
     } else if (ParseIntFlag(arg, "--request-workers", &value)) {
       request_workers = value;
     } else if (ParseIntFlag(arg, "--request-timeout-ms", &value)) {
@@ -146,8 +153,6 @@ int main(int argc, char** argv) {
       metrics_port = value;
     } else if (ParseIntFlag(arg, "--slow-request-ms", &value)) {
       slow_request_ms = value;
-    } else if (std::strcmp(arg, "--no-coalesce") == 0) {
-      coalesce = false;
     } else if (ParseStringFlag(arg, "--data-dir", &data_dir)) {
     } else if (ParseStringFlag(arg, "--storage-mode", &storage_mode)) {
     } else if (ParseIntFlag(arg, "--log-compact-bytes", &value)) {
@@ -157,8 +162,8 @@ int main(int argc, char** argv) {
           "usage: cpclean_server [--stdio | --port=N] [--threads=N] "
           "[--cache=N] [--data-dir=PATH] [--max-sessions=N] "
           "[--storage-mode=ram|mmap] [--log-compact-bytes=N] "
-          "[--max-connections=N] [--max-inflight=N] [--poller-threads=N] "
-          "[--request-workers=N] [--no-coalesce] "
+          "[--max-connections=N] [--max-inflight=N] "
+          "[--request-workers=N] "
           "[--request-timeout-ms=N] [--idle-timeout-ms=N] "
           "[--max-request-bytes=N] [--output-hwm-bytes=N] "
           "[--max-output-bytes=N] [--metrics-port=N] "
@@ -185,8 +190,12 @@ int main(int argc, char** argv) {
                  "--max-output-bytes must be >= 0\n");
     return 2;
   }
-  if (poller_threads < 1) {
-    std::fprintf(stderr, "--poller-threads must be >= 1\n");
+  if (!stdio && (port < 0 || port > 65535)) {
+    std::fprintf(stderr, "--port must be in [0, 65535]\n");
+    return 2;
+  }
+  if (metrics_port < -1 || metrics_port > 65535) {
+    std::fprintf(stderr, "--metrics-port must be -1 or in [0, 65535]\n");
     return 2;
   }
   if (slow_request_ms < 0) {
@@ -207,8 +216,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const Status pool_status =
-      ConfigureGlobalThreadPool(static_cast<int>(threads));
+  const Status pool_status = ConfigureGlobalThreadPool(threads);
   if (!pool_status.ok()) {
     std::fprintf(stderr, "%s\n", pool_status.ToString().c_str());
     return 2;
@@ -227,18 +235,16 @@ int main(int argc, char** argv) {
   options.max_sessions = static_cast<size_t>(max_sessions);
   options.storage_mode = storage_mode;
   options.log_compact_bytes = static_cast<size_t>(log_compact_bytes);
-  options.max_connections = static_cast<int>(max_connections);
-  options.max_inflight = static_cast<int>(max_inflight);
-  options.poller_threads = static_cast<int>(poller_threads);
-  options.request_workers = static_cast<int>(request_workers);
-  options.coalesce_q2 = coalesce;
-  options.request_timeout_ms = static_cast<int>(request_timeout_ms);
-  options.idle_timeout_ms = static_cast<int>(idle_timeout_ms);
+  options.max_connections = max_connections;
+  options.max_inflight = max_inflight;
+  options.request_workers = request_workers;
+  options.request_timeout_ms = request_timeout_ms;
+  options.idle_timeout_ms = idle_timeout_ms;
   options.max_request_bytes = static_cast<size_t>(max_request_bytes);
   options.output_hwm_bytes = static_cast<size_t>(output_hwm_bytes);
   options.max_output_bytes = static_cast<size_t>(max_output_bytes);
-  options.metrics_port = static_cast<int>(metrics_port);
-  options.slow_request_ms = static_cast<int>(slow_request_ms);
+  options.metrics_port = metrics_port;
+  options.slow_request_ms = slow_request_ms;
   Server server(options);
 
   if (stdio) {
@@ -253,7 +259,7 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, HandleSignal);
   std::signal(SIGTERM, HandleSignal);
 
-  std::fprintf(stderr, "cpclean_server: pool=%d threads, cache=%ld\n",
+  std::fprintf(stderr, "cpclean_server: pool=%d threads, cache=%d\n",
                GlobalThreadPoolThreads(), cache);
   // Bind happens inside ServeTcp; report the port it actually got (useful
   // with --port=0) once it is listening. port() moves off -1 on both the
@@ -273,7 +279,7 @@ int main(int argc, char** argv) {
       }
     }
   });
-  const Status status = server.ServeTcp(static_cast<int>(port));
+  const Status status = server.ServeTcp(port);
   announce.join();
   if (!status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <thread>
 #include <utility>
 
 #include "common/fault_injection.h"
@@ -60,6 +61,16 @@ bool BlankOrComment(const std::string& line) {
   return begin == std::string::npos || line[begin] == '#';
 }
 
+/// A complete one-shot HTTP/1.1 response (the connection closes after it).
+std::string HttpResponse(const char* status, const char* content_type,
+                         const std::string& body) {
+  return StrFormat(
+             "HTTP/1.1 %s\r\nContent-Type: %s\r\nContent-Length: %zu\r\n"
+             "Connection: close\r\n\r\n",
+             status, content_type, body.size()) +
+         body;
+}
+
 void SendAll(int fd, const std::string& data) {
   size_t sent = 0;
   while (sent < data.size()) {
@@ -77,9 +88,44 @@ void SendAll(int fd, const std::string& data) {
 
 }  // namespace
 
-EventLoop::EventLoop(Server* server, int listen_fd, EventLoopOptions options)
-    : server_(server), listen_fd_(listen_fd), options_(options) {
-  if (options_.poller_threads < 1) options_.poller_threads = 1;
+TransportMetrics& TransportMetrics::Get() {
+  MetricsRegistry& registry = MetricsRegistry::Get();
+  static TransportMetrics metrics{
+      registry.GetGauge("serve.active_connections"),
+      registry.GetGauge("serve.inflight"),
+      registry.GetGauge("serve.queue_depth"),
+      registry.GetGauge("serve.output_backlog_bytes"),
+      registry.GetCounter("serve.accepts_total"),
+      registry.GetCounter("serve.requests_total"),
+      registry.GetCounter("serve.coalesce_hits_total"),
+      registry.GetCounter("serve.rejected_connections_total"),
+      registry.GetCounter("serve.rejected_requests_total"),
+      registry.GetCounter("serve.deadline_expired_total"),
+      registry.GetCounter("serve.idle_reaped_total"),
+      registry.GetCounter("serve.oversized_requests_total"),
+      registry.GetCounter("serve.output_overflow_closed_total"),
+      registry.GetCounter("serve.http_scrapes_total"),
+      registry.GetCounter("serve.slow_requests_total"),
+      registry.GetHistogram("serve.request_ns"),
+      registry.GetHistogram("serve.queue_wait_ns"),
+      registry.GetHistogram("serve.exec_ns")};
+  return metrics;
+}
+
+EventLoop::EventLoop(Server* server, const ServerOptions& options,
+                     int listen_fd, int metrics_listen_fd)
+    : server_(server),
+      options_(options),
+      metrics_(TransportMetrics::Get()),
+      epoll_fd_(::epoll_create1(0)),
+      wake_fd_(::eventfd(0, EFD_NONBLOCK)) {
+  if (epoll_fd_ < 0 || wake_fd_ < 0) {
+    setup_status_ = Status::IoError(
+        StrFormat("event loop setup: %s", std::strerror(errno)));
+  }
+  listener_.fd = listen_fd;
+  metrics_listener_.fd = metrics_listen_fd;
+  metrics_listener_.http = true;
   num_workers_ = options_.request_workers > 0 ? options_.request_workers
                                               : ThreadPool::HardwareThreads();
   overload_line_ = ErrorLine(
@@ -90,6 +136,9 @@ EventLoop::EventLoop(Server* server, int listen_fd, EventLoopOptions options)
   fd_exhausted_line_ = ErrorLine(
       nullptr, StatusCode::kUnavailable,
       "server file descriptors exhausted; retry shortly");
+  http_unavailable_ =
+      HttpResponse("503 Service Unavailable", "text/plain; charset=utf-8",
+                   "server file descriptors exhausted; retry shortly\n");
 }
 
 EventLoop::~EventLoop() {
@@ -98,20 +147,16 @@ EventLoop::~EventLoop() {
   // ServeTcp unpublishes that pointer (same mutex) after Run returns but
   // before this destructor — so no Wake can race a close and write into a
   // recycled descriptor.
-  for (const std::unique_ptr<Poller>& p : pollers_) {
-    if (p->epoll_fd >= 0) ::close(p->epoll_fd);
-    if (p->wake_fd >= 0) ::close(p->wake_fd);
-  }
+  if (epoll_fd_ >= 0) ::close(epoll_fd_);
+  if (wake_fd_ >= 0) ::close(wake_fd_);
 }
 
 void EventLoop::Wake() {
-  for (const std::unique_ptr<Poller>& p : pollers_) {
-    if (p == nullptr || p->wake_fd < 0) continue;
-    const uint64_t one = 1;
-    // write(2) only: callable from a signal handler. A full eventfd
-    // counter (EAGAIN) already guarantees a pending wake.
-    (void)!::write(p->wake_fd, &one, sizeof(one));
-  }
+  if (wake_fd_ < 0) return;
+  const uint64_t one = 1;
+  // write(2) only: callable from a signal handler. A full eventfd counter
+  // (EAGAIN) already guarantees a pending wake.
+  (void)!::write(wake_fd_, &one, sizeof(one));
 }
 
 void EventLoop::HardStop() {
@@ -119,75 +164,52 @@ void EventLoop::HardStop() {
   Wake();
 }
 
+void EventLoop::Watch(int fd) {
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = fd;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
+}
+
+void EventLoop::CloseListener(Listener& listener) {
+  if (listener.fd < 0) return;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listener.fd, nullptr);
+  ::close(listener.fd);
+  listener.fd = -1;
+}
+
 Status EventLoop::Run() {
-  // The listener must be non-blocking: AcceptReady drains it until EAGAIN,
-  // and a blocking accept4 would wedge poller 0 once the backlog empties.
-  {
-    const int flags = ::fcntl(listen_fd_, F_GETFL, 0);
-    ::fcntl(listen_fd_, F_SETFL, flags | O_NONBLOCK);
+  if (!setup_status_.ok()) {
+    CloseListener(listener_);
+    CloseListener(metrics_listener_);
+    return setup_status_;
+  }
+  Watch(wake_fd_);
+  // The listeners must be non-blocking: AcceptReady drains them until
+  // EAGAIN, and a blocking accept4 would wedge the poller once the backlog
+  // empties. The /metrics listener's connections are one-shot HTTP GETs
+  // and never touch the work queue.
+  for (Listener* listener : {&listener_, &metrics_listener_}) {
+    if (listener->fd < 0) continue;
+    const int flags = ::fcntl(listener->fd, F_GETFL, 0);
+    ::fcntl(listener->fd, F_SETFL, flags | O_NONBLOCK);
+    Watch(listener->fd);
   }
   // The EMFILE reserve: one fd held in escrow so accept-at-the-limit can
   // briefly free a slot, accept the surplus connection, and turn it away
   // with a structured line instead of leaving it dangling in the backlog.
   spare_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
-  pollers_.reserve(static_cast<size_t>(options_.poller_threads));
-  for (int i = 0; i < options_.poller_threads; ++i) {
-    auto p = std::make_unique<Poller>();
-    p->epoll_fd = ::epoll_create1(0);
-    p->wake_fd = ::eventfd(0, EFD_NONBLOCK);
-    if (p->epoll_fd < 0 || p->wake_fd < 0) {
-      const Status status = Status::IoError(
-          StrFormat("event loop setup: %s", std::strerror(errno)));
-      if (p->epoll_fd >= 0) ::close(p->epoll_fd);
-      if (p->wake_fd >= 0) ::close(p->wake_fd);
-      // Already-built pollers stay in pollers_; the destructor closes
-      // their fds after the loop is unpublished (see ~EventLoop).
-      ::close(listen_fd_);
-      if (options_.metrics_listen_fd >= 0) ::close(options_.metrics_listen_fd);
-      return status;
-    }
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = p->wake_fd;
-    ::epoll_ctl(p->epoll_fd, EPOLL_CTL_ADD, p->wake_fd, &ev);
-    pollers_.push_back(std::move(p));
-  }
-  {
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = listen_fd_;
-    ::epoll_ctl(pollers_[0]->epoll_fd, EPOLL_CTL_ADD, listen_fd_, &ev);
-    listener_open_.store(true);
-  }
-  if (options_.metrics_listen_fd >= 0) {
-    // The /metrics listener shares poller 0 with the main listener; its
-    // connections are one-shot HTTP GETs and never touch the work queue.
-    const int flags = ::fcntl(options_.metrics_listen_fd, F_GETFL, 0);
-    ::fcntl(options_.metrics_listen_fd, F_SETFL, flags | O_NONBLOCK);
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = options_.metrics_listen_fd;
-    ::epoll_ctl(pollers_[0]->epoll_fd, EPOLL_CTL_ADD,
-                options_.metrics_listen_fd, &ev);
-    metrics_listener_open_.store(true);
-  }
 
   std::vector<std::thread> workers;
   workers.reserve(static_cast<size_t>(num_workers_));
   for (int w = 0; w < num_workers_; ++w) {
     workers.emplace_back([this] { WorkerLoop(); });
   }
-  std::vector<std::thread> pollers;
-  pollers.reserve(static_cast<size_t>(options_.poller_threads - 1));
-  for (int i = 1; i < options_.poller_threads; ++i) {
-    pollers.emplace_back([this, i] { PollerLoop(i); });
-  }
-  PollerLoop(0);  // the caller is poller 0
-  for (std::thread& t : pollers) t.join();
+  PollerLoop();  // the caller is the poller; it closes the listeners
 
-  // Pollers are done, so the queue can only shrink: let the workers drain
-  // whatever is left (responses to already-closed connections are simply
-  // discarded) and exit.
+  // The poller is done, so the queue can only shrink: let the workers
+  // drain whatever is left (responses to already-closed connections are
+  // simply discarded) and exit.
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     workers_stop_ = true;
@@ -195,90 +217,71 @@ Status EventLoop::Run() {
   queue_cv_.notify_all();
   for (std::thread& t : workers) t.join();
 
-  if (listener_open_.exchange(false)) ::close(listen_fd_);
-  if (metrics_listener_open_.exchange(false)) {
-    ::close(options_.metrics_listen_fd);
-  }
   if (spare_fd_ >= 0) {
     ::close(spare_fd_);
     spare_fd_ = -1;
   }
-  // Poller epoll/wake fds intentionally stay open until ~EventLoop runs,
+  // The epoll/wake fds intentionally stay open until ~EventLoop runs,
   // after ServeTcp unpublishes the loop: a late Server::Stop may still
   // Wake() them.
   return Status::OK();
 }
 
-void EventLoop::PollerLoop(int index) {
-  Poller& p = *pollers_[static_cast<size_t>(index)];
+void EventLoop::PollerLoop() {
   std::vector<epoll_event> events(256);
-  bool announced_stop = false;
   while (true) {
     const bool hard = hard_stop_.load();
-    const bool stopping = hard || server_->stopping();
-    if (stopping) {
-      if (!announced_stop) {
-        announced_stop = true;
-        Wake();  // every poller should notice now, not at its timeout
-      }
-      if (index == 0 && listener_open_.exchange(false)) {
-        ::epoll_ctl(p.epoll_fd, EPOLL_CTL_DEL, listen_fd_, nullptr);
-        ::close(listen_fd_);
-      }
-      if (index == 0 && metrics_listener_open_.exchange(false)) {
-        ::epoll_ctl(p.epoll_fd, EPOLL_CTL_DEL, options_.metrics_listen_fd,
-                    nullptr);
-        ::close(options_.metrics_listen_fd);
-      }
+    if (hard || server_->stopping()) {
+      CloseListener(listener_);
+      CloseListener(metrics_listener_);
       // Graceful: stop reading (lines already framed still get answers,
       // unread socket bytes are dropped — the thread-per-connection
       // semantics). Hard: drop everything now.
       std::vector<std::shared_ptr<Connection>> snapshot;
-      snapshot.reserve(p.conns.size());
-      for (const auto& entry : p.conns) snapshot.push_back(entry.second);
+      snapshot.reserve(conns_.size());
+      for (const auto& entry : conns_) snapshot.push_back(entry.second);
       for (const std::shared_ptr<Connection>& conn : snapshot) {
         if (hard) {
-          CloseConnection(p, conn);
+          CloseConnection(conn);
           continue;
         }
         if (conn->reading) {
           conn->reading = false;
-          UpdateInterest(p, *conn);
+          UpdateInterest(*conn);
         }
         // Drain: framed lines still get dispatched and answered; closes
         // the connection once everything has flushed.
-        DispatchLines(p, conn);
+        DispatchLines(conn);
       }
       bool inbox_empty;
       {
-        std::lock_guard<std::mutex> lock(p.mu);
-        inbox_empty = p.incoming.empty() && p.completions.empty();
+        std::lock_guard<std::mutex> lock(completions_mu_);
+        inbox_empty = completions_.empty();
       }
-      if (p.conns.empty() && inbox_empty) return;
+      if (conns_.empty() && inbox_empty) return;
     }
 
-    const int n = ::epoll_wait(p.epoll_fd, events.data(),
+    const int n = ::epoll_wait(epoll_fd_, events.data(),
                                static_cast<int>(events.size()),
                                kPollTimeoutMs);
     for (int e = 0; e < n; ++e) {
       const int fd = events[static_cast<size_t>(e)].data.fd;
       const uint32_t mask = events[static_cast<size_t>(e)].events;
-      if (fd == p.wake_fd) {
+      if (fd == wake_fd_) {
         uint64_t drain = 0;
-        (void)!::read(p.wake_fd, &drain, sizeof(drain));
+        (void)!::read(wake_fd_, &drain, sizeof(drain));
         continue;
       }
-      if (index == 0 && fd == listen_fd_ && listener_open_.load()) {
-        AcceptReady(p);
+      if (fd == listener_.fd) {
+        AcceptReady(listener_);
         continue;
       }
-      if (index == 0 && fd == options_.metrics_listen_fd &&
-          metrics_listener_open_.load()) {
-        AcceptMetricsReady(p);
+      if (fd == metrics_listener_.fd) {
+        AcceptReady(metrics_listener_);
         continue;
       }
-      const auto it = p.conns.find(fd);
-      if (it == p.conns.end()) continue;  // closed earlier in this batch
+      const auto it = conns_.find(fd);
+      if (it == conns_.end()) continue;  // closed earlier in this batch
       const std::shared_ptr<Connection> conn = it->second;
       // EPOLLHUP/EPOLLERR arrive with no interest bits set; route them
       // through the read path (recv observes the EOF/error) while the
@@ -286,26 +289,20 @@ void EventLoop::PollerLoop(int index) {
       // observes the reset).
       if (conn->reading &&
           (mask & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0) {
-        ReadReady(p, conn);
+        ReadReady(conn);
       }
       if (conn->closed) continue;
       if ((mask & EPOLLOUT) != 0 ||
           (!conn->reading && (mask & (EPOLLERR | EPOLLHUP)) != 0)) {
-        FlushConnection(p, conn);
+        FlushConnection(conn);
       }
     }
 
-    // Cross-thread inboxes: adopted connections (dealt by poller 0) and
-    // completed responses (signed off by workers).
-    std::vector<std::shared_ptr<Connection>> incoming;
+    // Completed responses, signed off by workers.
     std::vector<std::shared_ptr<Connection>> completions;
     {
-      std::lock_guard<std::mutex> lock(p.mu);
-      incoming.swap(p.incoming);
-      completions.swap(p.completions);
-    }
-    for (const std::shared_ptr<Connection>& conn : incoming) {
-      AdoptConnection(p, conn);
+      std::lock_guard<std::mutex> lock(completions_mu_);
+      completions.swap(completions_);
     }
     for (const std::shared_ptr<Connection>& conn : completions) {
       if (conn->closed) continue;
@@ -314,35 +311,34 @@ void EventLoop::PollerLoop(int index) {
       conn->exec_has_id = false;
       // The head response just became ready: flush it and dispatch the
       // next pending line, if any.
-      DispatchLines(p, conn);
+      DispatchLines(conn);
     }
 
-    Housekeeping(p, index);
+    Housekeeping();
   }
 }
 
-void EventLoop::Housekeeping(Poller& p, int index) {
+void EventLoop::Housekeeping() {
   const bool timers_armed =
       options_.request_timeout_ms > 0 || options_.idle_timeout_ms > 0;
-  if (!timers_armed && !(index == 0 && listener_parked_)) return;
+  if (!timers_armed && !listener_.parked && !metrics_listener_.parked) {
+    return;
+  }
   const auto now = std::chrono::steady_clock::now();
 
-  if (index == 0 && listener_parked_ && listener_open_.load() &&
-      now >= listener_retry_at_) {
-    listener_parked_ = false;
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = listen_fd_;
-    ::epoll_ctl(p.epoll_fd, EPOLL_CTL_ADD, listen_fd_, &ev);
+  for (Listener* listener : {&listener_, &metrics_listener_}) {
+    if (listener->parked && listener->fd >= 0 && now >= listener->retry_at) {
+      listener->parked = false;
+      Watch(listener->fd);
+    }
   }
   if (!timers_armed) return;
 
-  Server::TransportCounters& counters = server_->transport_counters();
-  // Collect first, act second: both actions mutate p.conns (via
+  // Collect first, act second: both actions mutate conns_ (via
   // CloseConnection) and must not run mid-iteration.
   std::vector<std::shared_ptr<Connection>> expired;
   std::vector<std::shared_ptr<Connection>> idle;
-  for (const auto& entry : p.conns) {
+  for (const auto& entry : conns_) {
     const std::shared_ptr<Connection>& conn = entry.second;
     if (options_.request_timeout_ms > 0 && conn->executing &&
         conn->exec_slot != nullptr && now >= conn->exec_deadline) {
@@ -373,35 +369,35 @@ void EventLoop::Housekeeping(Poller& p, int index) {
                   "was discarded",
                   options_.request_timeout_ms));
     conn->exec_slot->ready.store(true, std::memory_order_release);
-    counters.deadline_expired.fetch_add(1, std::memory_order_relaxed);
+    metrics_.deadline_expired.Add(1);
     // `executing` stays true until the worker actually finishes: the
     // next pipelined request must not run concurrently with the
     // abandoned one (per-connection serial semantics hold even across a
     // deadline).
-    FlushConnection(p, conn);
+    FlushConnection(conn);
   }
   for (const std::shared_ptr<Connection>& conn : idle) {
     if (conn->closed) continue;
-    counters.idle_reaped.fetch_add(1, std::memory_order_relaxed);
-    CloseConnection(p, conn);
+    metrics_.idle_reaped.Add(1);
+    CloseConnection(conn);
   }
 }
 
-void EventLoop::ParkListener(Poller& p) {
-  if (listener_parked_ || !listener_open_.load()) return;
-  // Accept keeps failing even with the spare fd freed: re-arming EPOLLIN
-  // would spin the poller at 100% re-reporting the same condition.
-  // Unhook the listener and retry on a doubling clock; pending clients
-  // wait in the kernel backlog meanwhile.
-  listener_parked_ = true;
-  ::epoll_ctl(p.epoll_fd, EPOLL_CTL_DEL, listen_fd_, nullptr);
-  accept_backoff_ms_ =
-      accept_backoff_ms_ == 0 ? 10 : std::min(accept_backoff_ms_ * 2, 2000);
-  listener_retry_at_ = std::chrono::steady_clock::now() +
-                       std::chrono::milliseconds(accept_backoff_ms_);
+void EventLoop::ParkListener(Listener& listener) {
+  if (listener.parked || listener.fd < 0) return;
+  // Accept keeps failing even with the spare fd freed: the listener is
+  // level-triggered, so leaving it in epoll would spin the poller at 100%
+  // re-reporting the same condition. Unhook it and retry on a doubling
+  // clock; pending clients wait in the kernel backlog meanwhile.
+  listener.parked = true;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listener.fd, nullptr);
+  listener.backoff_ms =
+      listener.backoff_ms == 0 ? 10 : std::min(listener.backoff_ms * 2, 2000);
+  listener.retry_at = std::chrono::steady_clock::now() +
+                      std::chrono::milliseconds(listener.backoff_ms);
 }
 
-void EventLoop::AcceptReady(Poller& p) {
+void EventLoop::AcceptReady(Listener& listener) {
   while (true) {
     // el.accept simulates fd-table exhaustion: the pending connection is
     // handled by the EMFILE recovery below, exactly as a real EMFILE
@@ -410,7 +406,7 @@ void EventLoop::AcceptReady(Poller& p) {
     const int client =
         injected_emfile
             ? -1
-            : ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK);
+            : ::accept4(listener.fd, nullptr, nullptr, SOCK_NONBLOCK);
     if (client < 0) {
       if (!injected_emfile && errno == EINTR) continue;
       if (!injected_emfile && (errno == EAGAIN || errno == EWOULDBLOCK)) {
@@ -419,166 +415,117 @@ void EventLoop::AcceptReady(Poller& p) {
       if (injected_emfile || errno == EMFILE || errno == ENFILE) {
         // Out of fds. Briefly cash in the reserve fd so the surplus
         // connection can be accepted and turned away with a structured
-        // line — otherwise it would sit in the backlog seeing neither
+        // answer — otherwise it would sit in the backlog seeing neither
         // service nor an error.
-        server_->transport_counters().rejected_connections.fetch_add(
-            1, std::memory_order_relaxed);
+        if (!listener.http) metrics_.rejected_connections.Add(1);
         if (spare_fd_ >= 0) {
           ::close(spare_fd_);
           spare_fd_ = -1;
         }
         const int victim =
-            ::accept4(listen_fd_, nullptr, nullptr, SOCK_NONBLOCK);
+            ::accept4(listener.fd, nullptr, nullptr, SOCK_NONBLOCK);
         const bool backlog_empty =
             victim < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
         if (victim >= 0) {
-          SendAll(victim, fd_exhausted_line_);
+          SendAll(victim,
+                  listener.http ? http_unavailable_ : fd_exhausted_line_);
           ::close(victim);
         }
         spare_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
         if (victim >= 0) continue;  // rejected one; keep draining
         if (backlog_empty) return;
-        ParkListener(p);  // even the spare didn't help: stop busy-spinning
+        ParkListener(listener);  // even the spare didn't help: stop spinning
         return;
       }
-      // Listener shut down (RequestStop) or fatal accept error: wind the
-      // whole transport down, as the blocking accept loop did.
-      server_->RequestStop();
+      // Fatal accept error. On the main listener this is how RequestStop's
+      // shutdown(2) surfaces, and it winds the whole transport down; the
+      // metrics listener backs off instead — a broken scrape path must
+      // not stop the service.
+      if (listener.http) {
+        ParkListener(listener);
+      } else {
+        server_->RequestStop();
+      }
       return;
     }
-    accept_backoff_ms_ = 0;  // forward progress resets the EMFILE backoff
+    listener.backoff_ms = 0;  // forward progress resets the EMFILE backoff
     if (server_->stopping() || hard_stop_.load()) {
       ::close(client);
       continue;
     }
-    Server::TransportCounters& counters = server_->transport_counters();
-    if (options_.max_connections > 0 &&
-        counters.active_connections.load(std::memory_order_relaxed) >=
-            options_.max_connections) {
-      // Admission control bounds *connections* here only as a fd-table
-      // guard; the request-level bound below is what protects the engine.
-      // Overload answers loudly: the client sees why, not a hung socket.
-      counters.rejected_connections.fetch_add(1, std::memory_order_relaxed);
-      SendAll(client, overload_line_);
-      ::close(client);
-      continue;
-    }
-    counters.active_connections.fetch_add(1, std::memory_order_relaxed);
-    static MetricCounter& accepts =
-        MetricsRegistry::Get().GetCounter("serve.accepts_total");
-    static MetricGauge& active =
-        MetricsRegistry::Get().GetGauge("serve.active_connections");
-    accepts.Add(1);
-    active.Add(1);
-    auto conn = std::make_shared<Connection>();
-    conn->fd = client;
-    conn->last_activity = std::chrono::steady_clock::now();
-    conn->poller = static_cast<int>(next_poller_.fetch_add(1) %
-                                    static_cast<uint64_t>(pollers_.size()));
-    if (conn->poller == 0) {
-      AdoptConnection(p, conn);
-    } else {
-      Poller& target = *pollers_[static_cast<size_t>(conn->poller)];
-      {
-        std::lock_guard<std::mutex> lock(target.mu);
-        target.incoming.push_back(conn);
-      }
-      const uint64_t one = 1;
-      (void)!::write(target.wake_fd, &one, sizeof(one));
-    }
-  }
-}
-
-void EventLoop::AcceptMetricsReady(Poller& p) {
-  while (true) {
-    const int client = ::accept4(options_.metrics_listen_fd, nullptr,
-                                 nullptr, SOCK_NONBLOCK);
-    if (client < 0) {
-      if (errno == EINTR) continue;
-      return;  // EAGAIN, EMFILE, ...: try again on the next EPOLLIN
-    }
-    if (server_->stopping() || hard_stop_.load()) {
-      ::close(client);
-      continue;
-    }
-    // Not admission-controlled and not counted as a transport connection:
+    // Metrics connections are neither admission-controlled nor counted:
     // the scrape path must keep working while the serve side is saturated.
+    if (!listener.http) {
+      if (options_.max_connections > 0 &&
+          metrics_.active_connections.Value() >= options_.max_connections) {
+        // Admission control bounds *connections* here only as a fd-table
+        // guard; the request-level bound in DispatchLines is what protects
+        // the engine. Overload answers loudly: the client sees why, not a
+        // hung socket.
+        metrics_.rejected_connections.Add(1);
+        SendAll(client, overload_line_);
+        ::close(client);
+        continue;
+      }
+      metrics_.accepts.Add(1);
+      metrics_.active_connections.Add(1);
+    }
     auto conn = std::make_shared<Connection>();
     conn->fd = client;
-    conn->http = true;
-    conn->poller = 0;
+    conn->http = listener.http;
     conn->last_activity = std::chrono::steady_clock::now();
-    AdoptConnection(p, conn);
+    conns_.emplace(client, std::move(conn));
+    Watch(client);
   }
 }
 
-bool EventLoop::HandleHttpRequest(Poller& p,
-                                  const std::shared_ptr<Connection>& conn) {
+bool EventLoop::HandleHttpRequest(const std::shared_ptr<Connection>& conn) {
   // Wait for the complete request head; scrapers send no body.
   size_t head_end = conn->in_buffer.find("\r\n\r\n");
   if (head_end == std::string::npos) {
     head_end = conn->in_buffer.find("\n\n");
   }
   if (head_end == std::string::npos) {
-    if (conn->in_buffer.size() > 8192) CloseConnection(p, conn);
+    if (conn->in_buffer.size() > 8192) CloseConnection(conn);
     return false;
   }
   const bool is_metrics = conn->in_buffer.rfind("GET /metrics", 0) == 0;
   conn->in_buffer.clear();
-  std::string head;
-  std::string body;
-  if (is_metrics) {
-    static MetricCounter& scrapes =
-        MetricsRegistry::Get().GetCounter("serve.http_scrapes_total");
-    scrapes.Add(1);
-    body = MetricsPrometheusText();
-    head =
-        "HTTP/1.1 200 OK\r\n"
-        "Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n";
-  } else {
-    body = "not found (try GET /metrics)\n";
-    head =
-        "HTTP/1.1 404 Not Found\r\n"
-        "Content-Type: text/plain; charset=utf-8\r\n";
-  }
-  head += StrFormat("Content-Length: %llu\r\nConnection: close\r\n\r\n",
-                    static_cast<unsigned long long>(body.size()));
   auto slot = std::make_shared<Response>();
   slot->owner.store(1, std::memory_order_relaxed);
-  slot->text = head + body;
+  if (is_metrics) {
+    metrics_.http_scrapes.Add(1);
+    slot->text = HttpResponse("200 OK",
+                              "text/plain; version=0.0.4; charset=utf-8",
+                              MetricsPrometheusText());
+  } else {
+    slot->text = HttpResponse("404 Not Found", "text/plain; charset=utf-8",
+                              "not found (try GET /metrics)\n");
+  }
   slot->ready.store(true, std::memory_order_release);
   conn->outgoing.push_back(std::move(slot));
   // One-shot: stop reading; the flush path closes once the response (and
   // nothing else — http connections never execute requests) drains.
   conn->reading = false;
-  UpdateInterest(p, *conn);
+  UpdateInterest(*conn);
   return true;
 }
 
-void EventLoop::AdoptConnection(Poller& p,
-                                const std::shared_ptr<Connection>& conn) {
-  p.conns.emplace(conn->fd, conn);
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = conn->fd;
-  ::epoll_ctl(p.epoll_fd, EPOLL_CTL_ADD, conn->fd, &ev);
-}
-
-void EventLoop::UpdateInterest(Poller& p, Connection& conn) {
+void EventLoop::UpdateInterest(Connection& conn) {
   epoll_event ev{};
   ev.events = ((conn.reading && !conn.read_paused) ? EPOLLIN : 0u) |
               (conn.want_write ? EPOLLOUT : 0u);
   ev.data.fd = conn.fd;
-  ::epoll_ctl(p.epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev);
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev);
 }
 
-void EventLoop::ReadReady(Poller& p, const std::shared_ptr<Connection>& conn) {
+void EventLoop::ReadReady(const std::shared_ptr<Connection>& conn) {
   if (FaultHit("el.recv")) {  // injected connection reset on read
-    CloseConnection(p, conn);
+    CloseConnection(conn);
     return;
   }
   // Bounded rounds per tick so one flooding connection cannot starve the
-  // rest of this poller; level-triggered epoll re-arms leftovers.
+  // other connections; level-triggered epoll re-arms leftovers.
   char chunk[16384];
   for (int round = 0; round < 16; ++round) {
     const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
@@ -591,18 +538,18 @@ void EventLoop::ReadReady(Poller& p, const std::shared_ptr<Connection>& conn) {
       // EOF: the peer may have half-closed and still expect the answers
       // to everything it pipelined — keep the write side until drained.
       conn->reading = false;
-      UpdateInterest(p, *conn);
+      UpdateInterest(*conn);
       break;
     }
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    CloseConnection(p, conn);
+    CloseConnection(conn);
     return;
   }
   if (conn->http) {
     if (!conn->closed) {
-      HandleHttpRequest(p, conn);
-      FlushConnection(p, conn);
+      HandleHttpRequest(conn);
+      FlushConnection(conn);
     }
     return;
   }
@@ -627,8 +574,7 @@ void EventLoop::ReadReady(Poller& p, const std::shared_ptr<Connection>& conn) {
     oversized = true;
   }
   if (oversized) {
-    server_->transport_counters().oversized_requests.fetch_add(
-        1, std::memory_order_relaxed);
+    metrics_.oversized_requests.Add(1);
     auto slot = std::make_shared<Response>();
     slot->owner.store(1, std::memory_order_relaxed);
     slot->text = ErrorLine(
@@ -645,18 +591,12 @@ void EventLoop::ReadReady(Poller& p, const std::shared_ptr<Connection>& conn) {
     conn->in_buffer.clear();
     conn->pending_lines.clear();
     conn->reading = false;
-    UpdateInterest(p, *conn);
+    UpdateInterest(*conn);
   }
-  DispatchLines(p, conn);
+  DispatchLines(conn);
 }
 
-void EventLoop::DispatchLines(Poller& p,
-                              const std::shared_ptr<Connection>& conn) {
-  Server::TransportCounters& counters = server_->transport_counters();
-  static MetricGauge& inflight =
-      MetricsRegistry::Get().GetGauge("serve.inflight");
-  static MetricCounter& coalesce_hits =
-      MetricsRegistry::Get().GetCounter("serve.coalesce_hits_total");
+void EventLoop::DispatchLines(const std::shared_ptr<Connection>& conn) {
   // Serial per connection: dispatch the head line only once the previous
   // request's response slot exists — pipelined requests on one connection
   // keep blocking-transport semantics (and response order).
@@ -686,8 +626,7 @@ void EventLoop::DispatchLines(Poller& p,
             std::chrono::steady_clock::now() +
             std::chrono::milliseconds(options_.request_timeout_ms);
       }
-      counters.inflight_requests.fetch_add(1, std::memory_order_relaxed);
-      inflight.Add(1);
+      metrics_.inflight.Add(1);
       Enqueue(std::move(item));
       break;
     }
@@ -698,9 +637,8 @@ void EventLoop::DispatchLines(Poller& p,
     // the bounded resource. Overflow answers immediately (with the
     // request's own id) instead of queueing unboundedly.
     if (options_.max_inflight > 0 &&
-        counters.inflight_requests.load(std::memory_order_relaxed) >=
-            options_.max_inflight) {
-      counters.rejected_requests.fetch_add(1, std::memory_order_relaxed);
+        metrics_.inflight.Value() >= options_.max_inflight) {
+      metrics_.rejected_requests.Add(1);
       slot->text = ErrorLine(
           id, StatusCode::kUnavailable,
           StrFormat("request limit (--max-inflight=%d) reached; retry "
@@ -710,8 +648,7 @@ void EventLoop::DispatchLines(Poller& p,
       conn->outgoing.push_back(std::move(slot));
       continue;
     }
-    counters.inflight_requests.fetch_add(1, std::memory_order_relaxed);
-    inflight.Add(1);
+    metrics_.inflight.Add(1);
 
     const JsonValue* op =
         parsed.value().is_object() ? parsed.value().Find("op") : nullptr;
@@ -723,8 +660,6 @@ void EventLoop::DispatchLines(Poller& p,
     const OpInfo* op_info = op != nullptr && op->is_string()
                                 ? FindOp(op->string_value())
                                 : nullptr;
-    const bool coalescable = options_.coalesce_q2 && op_info != nullptr &&
-                             op_info->coalescable;
     WorkItem::Waiter waiter{conn, slot, id != nullptr,
                             id != nullptr ? *id : JsonValue(), {}};
     conn->outgoing.push_back(slot);
@@ -737,40 +672,28 @@ void EventLoop::DispatchLines(Poller& p,
           std::chrono::steady_clock::now() +
           std::chrono::milliseconds(options_.request_timeout_ms);
     }
-    if (coalescable) {
-      const std::string key = StripId(parsed.value()).Dump();
-      bool merged = false;
-      {
-        std::lock_guard<std::mutex> lock(queue_mu_);
-        const auto it = pending_q2_.find(key);
-        if (it != pending_q2_.end()) {
-          it->second->waiters.push_back(std::move(waiter));
-          merged = true;
-        }
-      }
-      if (merged) {
-        counters.coalesced_requests.fetch_add(1, std::memory_order_relaxed);
-        coalesce_hits.Add(1);
+    std::string key;
+    if (op_info != nullptr && op_info->coalescable) {
+      key = StripId(parsed.value()).Dump();
+      std::lock_guard<std::mutex> lock(queue_mu_);
+      const auto it = pending_q2_.find(key);
+      if (it != pending_q2_.end()) {
+        it->second->waiters.push_back(std::move(waiter));
+        metrics_.coalesce_hits.Add(1);
         break;
       }
-      auto item = std::make_shared<WorkItem>();
-      item->request = std::move(parsed).value();
-      item->coalesce_key = key;
-      item->waiters.push_back(std::move(waiter));
-      Enqueue(std::move(item));
-      break;
     }
     auto item = std::make_shared<WorkItem>();
     item->request = std::move(parsed).value();
+    item->coalesce_key = std::move(key);
     item->waiters.push_back(std::move(waiter));
     Enqueue(std::move(item));
     break;
   }
-  FlushConnection(p, conn);
+  FlushConnection(conn);
 }
 
-void EventLoop::FlushConnection(Poller& p,
-                                const std::shared_ptr<Connection>& conn) {
+void EventLoop::FlushConnection(const std::shared_ptr<Connection>& conn) {
   if (conn->closed) return;
   bool blocked = false;  // hit EAGAIN: the rest waits for EPOLLOUT
   while (!conn->outgoing.empty()) {
@@ -778,7 +701,7 @@ void EventLoop::FlushConnection(Poller& p,
     if (!front.ready.load(std::memory_order_acquire)) break;
     while (conn->out_offset < front.text.size()) {
       if (FaultHit("el.send")) {  // injected peer reset mid-response
-        CloseConnection(p, conn);
+        CloseConnection(conn);
         return;
       }
       if (FaultHit("el.send_eagain")) {  // injected full socket buffer
@@ -799,7 +722,7 @@ void EventLoop::FlushConnection(Poller& p,
         blocked = true;
         break;
       }
-      CloseConnection(p, conn);  // peer reset mid-response
+      CloseConnection(conn);  // peer reset mid-response
       return;
     }
     if (blocked) break;
@@ -816,11 +739,11 @@ void EventLoop::FlushConnection(Poller& p,
     // Backpressure: park the rest of this response until EPOLLOUT.
     if (!conn->want_write) {
       conn->want_write = true;
-      UpdateInterest(p, *conn);
+      UpdateInterest(*conn);
     }
   } else if (conn->want_write) {
     conn->want_write = false;
-    UpdateInterest(p, *conn);
+    UpdateInterest(*conn);
   }
 
   // Slow-client bounds. Only ready slots are counted (an unready slot's
@@ -834,18 +757,16 @@ void EventLoop::FlushConnection(Poller& p,
   }
   queued -= std::min(queued, conn->out_offset);
   if (queued != conn->backlog_gauge) {
-    static MetricGauge& backlog =
-        MetricsRegistry::Get().GetGauge("serve.output_backlog_bytes");
-    backlog.Add(static_cast<int64_t>(queued) -
-                static_cast<int64_t>(conn->backlog_gauge));
+    metrics_.output_backlog_bytes.Add(
+        static_cast<int64_t>(queued) -
+        static_cast<int64_t>(conn->backlog_gauge));
     conn->backlog_gauge = queued;
   }
   if (options_.max_output_bytes > 0 && queued >= options_.max_output_bytes) {
     // A reader this far behind costs memory on every queued response; the
     // cap converts "unbounded buffering" into a loud disconnect.
-    server_->transport_counters().output_overflow_closed.fetch_add(
-        1, std::memory_order_relaxed);
-    CloseConnection(p, conn);
+    metrics_.output_overflow_closed.Add(1);
+    CloseConnection(conn);
     return;
   }
   if (options_.output_hwm_bytes > 0) {
@@ -853,47 +774,38 @@ void EventLoop::FlushConnection(Poller& p,
       // Soft bound: stop reading new requests until the backlog halves —
       // the client feels the stall as TCP backpressure, not a close.
       conn->read_paused = true;
-      UpdateInterest(p, *conn);
+      UpdateInterest(*conn);
     } else if (conn->read_paused && queued <= options_.output_hwm_bytes / 2) {
       conn->read_paused = false;
-      UpdateInterest(p, *conn);
+      UpdateInterest(*conn);
     }
   }
   // Nothing further can ever flow: no reads coming (EOF or stop), nothing
   // pending, nothing executing, nothing to flush.
   if (!conn->reading && conn->outgoing.empty() &&
       conn->pending_lines.empty() && !conn->executing) {
-    CloseConnection(p, conn);
+    CloseConnection(conn);
   }
 }
 
-void EventLoop::CloseConnection(Poller& p,
-                                const std::shared_ptr<Connection>& conn) {
+void EventLoop::CloseConnection(const std::shared_ptr<Connection>& conn) {
   if (conn->closed) return;
   conn->closed = true;
-  ::epoll_ctl(p.epoll_fd, EPOLL_CTL_DEL, conn->fd, nullptr);
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
   ::close(conn->fd);
-  p.conns.erase(conn->fd);
+  conns_.erase(conn->fd);
   if (conn->backlog_gauge > 0) {
-    static MetricGauge& backlog =
-        MetricsRegistry::Get().GetGauge("serve.output_backlog_bytes");
-    backlog.Sub(static_cast<int64_t>(conn->backlog_gauge));
+    metrics_.output_backlog_bytes.Sub(
+        static_cast<int64_t>(conn->backlog_gauge));
     conn->backlog_gauge = 0;
   }
   // Metrics-listener connections were never admitted as transport
   // connections, so they must not drain the transport's count either.
-  if (conn->http) return;
-  server_->transport_counters().active_connections.fetch_sub(
-      1, std::memory_order_relaxed);
-  static MetricGauge& active =
-      MetricsRegistry::Get().GetGauge("serve.active_connections");
-  active.Sub(1);
+  if (!conn->http) metrics_.active_connections.Sub(1);
 }
 
 void EventLoop::Enqueue(std::shared_ptr<WorkItem> item) {
-  static MetricGauge& depth =
-      MetricsRegistry::Get().GetGauge("serve.queue_depth");
-  depth.Add(1);
+  metrics_.queue_depth.Add(1);
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     if (!item->coalesce_key.empty()) {
@@ -914,9 +826,7 @@ void EventLoop::WorkerLoop() {
       if (queue_.empty()) return;  // workers_stop_ and fully drained
       item = std::move(queue_.front());
       queue_.pop_front();
-      static MetricGauge& depth =
-          MetricsRegistry::Get().GetGauge("serve.queue_depth");
-      depth.Sub(1);
+      metrics_.queue_depth.Sub(1);
       // Started items stop accepting coalesce joiners: a request arriving
       // now may be ordered after a write this evaluation won't see.
       if (!item->coalesce_key.empty()) {
@@ -941,8 +851,6 @@ void EventLoop::Execute(WorkItem& item) {
     }
   }
   if (!any_unclaimed) return;
-  static MetricHistogram& exec_ns =
-      MetricsRegistry::Get().GetHistogram("serve.exec_ns");
   // Execution detail lands on the head waiter's span; coalesced joiners
   // share the evaluation, so their spans carry dispatch/flush times only.
   // The worker owns these span fields until the owner CAS in Complete —
@@ -961,7 +869,7 @@ void EventLoop::Execute(WorkItem& item) {
     std::string text = server_->HandleLine(item.line);
     if (!text.empty()) text.push_back('\n');
     item.waiters[0].rendered = std::move(text);
-    exec_ns.Record(MonotonicNowNs() - exec_start);
+    metrics_.exec_ns.Record(MonotonicNowNs() - exec_start);
     return;
   }
   if (item.waiters.size() == 1) {
@@ -973,7 +881,7 @@ void EventLoop::Execute(WorkItem& item) {
     }
     text.push_back('\n');
     item.waiters[0].rendered = std::move(text);
-    exec_ns.Record(MonotonicNowNs() - exec_start);
+    metrics_.exec_ns.Record(MonotonicNowNs() - exec_start);
     return;
   }
   // Coalesced group: evaluate once without any id, then fan the response
@@ -997,19 +905,12 @@ void EventLoop::Execute(WorkItem& item) {
       waiter.rendered = std::move(text);
     }
   }
-  exec_ns.Record(MonotonicNowNs() - exec_start);
+  metrics_.exec_ns.Record(MonotonicNowNs() - exec_start);
 }
 
 void EventLoop::Complete(WorkItem& item) {
-  Server::TransportCounters& counters = server_->transport_counters();
-  static MetricCounter& requests =
-      MetricsRegistry::Get().GetCounter("serve.requests_total");
-  static MetricGauge& inflight =
-      MetricsRegistry::Get().GetGauge("serve.inflight");
-  counters.inflight_requests.fetch_sub(
-      static_cast<int>(item.waiters.size()), std::memory_order_relaxed);
-  requests.Add(item.waiters.size());
-  inflight.Sub(static_cast<int64_t>(item.waiters.size()));
+  metrics_.requests.Add(item.waiters.size());
+  metrics_.inflight.Sub(static_cast<int64_t>(item.waiters.size()));
   for (WorkItem::Waiter& waiter : item.waiters) {
     // The owner CAS against the deadline reaper: install the rendering
     // only if the slot is still ours. A lost race means the poller
@@ -1026,36 +927,27 @@ void EventLoop::Complete(WorkItem& item) {
     }
     // The completion is handed back either way: it is what releases the
     // connection's serial-execution latch.
-    Poller& p = *pollers_[static_cast<size_t>(waiter.conn->poller)];
-    {
-      std::lock_guard<std::mutex> lock(p.mu);
-      p.completions.push_back(std::move(waiter.conn));
-    }
+    std::lock_guard<std::mutex> lock(completions_mu_);
+    completions_.push_back(std::move(waiter.conn));
   }
   Wake();
 }
 
 void EventLoop::FinalizeSpan(RequestSpan& span) {
-  static MetricHistogram& request_ns =
-      MetricsRegistry::Get().GetHistogram("serve.request_ns");
-  static MetricHistogram& queue_wait_ns =
-      MetricsRegistry::Get().GetHistogram("serve.queue_wait_ns");
   const uint64_t now = MonotonicNowNs();
   if (span.ready_ns != 0) {
     span.phase_ns[kSpanFlush] = now - span.ready_ns;
   }
   span.total_ns = now - span.start_ns;
-  request_ns.Record(span.total_ns);
-  queue_wait_ns.Record(span.phase_ns[kSpanQueueWait]);
+  metrics_.request_ns.Record(span.total_ns);
+  metrics_.queue_wait_ns.Record(span.phase_ns[kSpanQueueWait]);
   GlobalSpanRing().Push(span);
   if (options_.slow_request_ms <= 0 ||
       span.total_ns <
           static_cast<uint64_t>(options_.slow_request_ms) * 1000000ULL) {
     return;
   }
-  static MetricCounter& slow =
-      MetricsRegistry::Get().GetCounter("serve.slow_requests_total");
-  slow.Add(1);
+  metrics_.slow_requests.Add(1);
   JsonValue entry = JsonValue::MakeObject();
   entry.Set("event", JsonValue("slow_request"));
   entry.Set("op", JsonValue(std::string(span.op)));

@@ -7,11 +7,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -22,70 +20,46 @@
 namespace cpclean {
 
 class Server;
+struct ServerOptions;
 
-/// Transport knobs, filled from `ServerOptions` by `Server::ServeTcp`.
-struct EventLoopOptions {
-  /// Event-loop threads holding the connections. One poller comfortably
-  /// multiplexes thousands of mostly idle connections; more pollers only
-  /// spread the read/write/framing work.
-  int poller_threads = 1;
-  /// Threads executing dispatched requests. 0 = hardware concurrency.
-  int request_workers = 0;
-  /// Accept-time admission: connections beyond this receive a structured
-  /// Unavailable line and are closed. 0 = unlimited.
-  int max_connections = 0;
-  /// Request-level admission: dispatched-but-unanswered requests beyond
-  /// this bound are answered Unavailable immediately instead of queueing.
-  /// 0 = unlimited. This — not the connection count — is what bounds the
-  /// work in flight: thousands of idle connections cost only their fds.
-  int max_inflight = 0;
-  /// Merge identical `q2` requests that are waiting at the same time into
-  /// one engine evaluation, fanned back to every waiter with its own id.
-  bool coalesce_q2 = true;
-  /// Per-request deadline: a request still unanswered this long after
-  /// dispatch is answered DeadlineExceeded (with its own id) and the
-  /// worker's eventual result is discarded whole — never half-written.
-  /// The connection survives. 0 = no deadline. Granularity is the poll
-  /// tick (~100 ms).
-  int request_timeout_ms = 0;
-  /// Connections with no traffic in either direction for this long (and
-  /// nothing pending) are closed. 0 = never.
-  int idle_timeout_ms = 0;
-  /// Largest accepted request line; longer ones are answered with a
-  /// structured InvalidArgument and the connection is closed (it is
-  /// mid-garbage — resynchronizing on the next newline would be a guess).
-  /// Bounds per-connection input memory. 0 = unlimited.
-  size_t max_request_bytes = 1 << 20;
-  /// Slow-client backpressure, soft bound: once this many response bytes
-  /// are queued on a connection, its reads pause (EPOLLIN off) until the
-  /// backlog halves. 0 = never pause.
-  size_t output_hwm_bytes = 4 << 20;
-  /// Slow-client backpressure, hard cap: a connection whose queued
-  /// response bytes reach this is closed — a stalled reader bounds its
-  /// cost at this number, never at "all of RAM". 0 = unlimited.
-  size_t max_output_bytes = 32 << 20;
-  /// An already-listening loopback fd serving HTTP `GET /metrics`
-  /// (Prometheus text) on poller 0, or -1 for none. Owned by the loop
-  /// (closed by `Run`). Metrics connections bypass `max_connections`:
-  /// observability must keep working under overload.
-  int metrics_listen_fd = -1;
-  /// Requests whose span total exceeds this emit one structured JSON log
-  /// line with the full phase breakdown. 0 = disabled.
-  int slow_request_ms = 0;
-  /// Sink for slow-request lines; defaults to stderr when empty.
-  std::function<void(const std::string&)> slow_log;
+/// The TCP transport's instruments in the process-wide metrics registry.
+/// They are the only record of transport events: the global `stats` op's
+/// `connections` object and the `metrics` op both read them, and
+/// admission control reads the two gauges. Being process-wide, they sum
+/// over every server in the process.
+struct TransportMetrics {
+  static TransportMetrics& Get();
+
+  MetricGauge& active_connections;
+  MetricGauge& inflight;
+  MetricGauge& queue_depth;
+  MetricGauge& output_backlog_bytes;
+  MetricCounter& accepts;
+  MetricCounter& requests;
+  MetricCounter& coalesce_hits;
+  MetricCounter& rejected_connections;
+  MetricCounter& rejected_requests;
+  MetricCounter& deadline_expired;
+  MetricCounter& idle_reaped;
+  MetricCounter& oversized_requests;
+  MetricCounter& output_overflow_closed;
+  MetricCounter& http_scrapes;
+  MetricCounter& slow_requests;
+  MetricHistogram& request_ns;
+  MetricHistogram& queue_wait_ns;
+  MetricHistogram& exec_ns;
 };
 
 /// The epoll transport behind `Server::ServeTcp`.
 ///
-/// Architecture: `poller_threads` event-loop threads own the connections
-/// (non-blocking sockets, per-connection read/write buffers, incremental
-/// newline framing); poller 0 also owns the listener and deals accepted
-/// connections round-robin. Completed request lines are dispatched to a
-/// bounded pool of `request_workers` threads through one shared work
-/// queue; responses travel back through per-connection ordered slots, so
-/// each connection sees its responses in request order even though
-/// different connections' requests execute concurrently.
+/// Architecture: the thread calling `Run` is the one poller. It owns the
+/// listeners and every connection (non-blocking sockets, per-connection
+/// read/write buffers, incremental newline framing). Completed request
+/// lines are dispatched to a bounded pool of `request_workers` threads
+/// through one shared work queue; responses travel back through
+/// per-connection ordered slots, so each connection sees its responses in
+/// request order even though different connections' requests execute
+/// concurrently.
 ///
 /// Per-connection execution is serial — at most one request of a
 /// connection is in flight at a time, exactly like the thread-per-
@@ -93,17 +67,21 @@ struct EventLoopOptions {
 /// connection observe each other's effects and every response line is
 /// byte-identical to the blocking transport's.
 ///
-/// While an identical `q2` request (same request object, ids aside) is
-/// still waiting in the work queue, later arrivals merge into it: the
-/// engine evaluates once and the response fans back to every waiter with
-/// its own id. The coalescing window is therefore the head request's
-/// queueing delay — under no load requests are never merged, under
-/// overload identical points collapse into one evaluation.
+/// While an identical coalescable request (same request object, ids
+/// aside; the op registry's `coalescable` bit, today only `q2`) is still
+/// waiting in the work queue, later arrivals merge into it: the engine
+/// evaluates once and the response fans back to every waiter with its own
+/// id. The coalescing window is therefore the head request's queueing
+/// delay — under no load requests are never merged, under overload
+/// identical points collapse into one evaluation.
 class EventLoop {
  public:
-  /// Borrows `server` for dispatch and counters; takes ownership of
-  /// `listen_fd` (already bound and listening, closed by `Run`).
-  EventLoop(Server* server, int listen_fd, EventLoopOptions options);
+  /// Borrows `server` for dispatch and `options` (the server's) for every
+  /// transport knob; takes ownership of `listen_fd` and
+  /// `metrics_listen_fd` (a loopback listener serving HTTP `GET /metrics`,
+  /// or -1 for none), both already bound and listening, closed by `Run`.
+  EventLoop(Server* server, const ServerOptions& options, int listen_fd,
+            int metrics_listen_fd);
   ~EventLoop();
 
   EventLoop(const EventLoop&) = delete;
@@ -111,11 +89,11 @@ class EventLoop {
 
   /// Runs the transport until the server is stopping and every connection
   /// has drained (graceful), or until `HardStop`. Blocks the caller (it
-  /// becomes poller 0).
+  /// becomes the poller).
   Status Run();
 
-  /// Kicks every poller so a stop flag set elsewhere is noticed now
-  /// instead of at the next poll timeout. Async-signal-safe (write(2)).
+  /// Kicks the poller so a stop flag set elsewhere is noticed now instead
+  /// of at the next poll timeout. Async-signal-safe (write(2)).
   void Wake();
 
   /// Close every connection without waiting for pending responses, then
@@ -124,8 +102,8 @@ class EventLoop {
 
  private:
   /// One response slot in a connection's ordered outgoing queue. Workers
-  /// fill `text` then flip `ready`; the owning poller flushes slots
-  /// strictly front to back, so responses keep request order.
+  /// fill `text` then flip `ready`; the poller flushes slots strictly
+  /// front to back, so responses keep request order.
   ///
   /// `owner` is the deadline handshake: 0 = unclaimed, 1 = the worker won
   /// (its rendered result is installed), 2 = the deadline reaper won (the
@@ -145,11 +123,10 @@ class EventLoop {
     bool has_span = false;
   };
 
-  /// Connection state, owned by exactly one poller thread; workers touch
-  /// only the Response slots.
+  /// Connection state, owned by the poller thread; workers touch only the
+  /// Response slots.
   struct Connection {
     int fd = -1;
-    int poller = 0;
     bool closed = false;
     bool http = false;       // metrics-listener connection (GET /metrics)
     /// Output bytes this connection has contributed to the process-wide
@@ -174,6 +151,18 @@ class EventLoop {
     JsonValue exec_id;
   };
 
+  /// A listening socket: the line-protocol listener, or the `/metrics`
+  /// one (`http`: no admission control, not counted as a connection).
+  struct Listener {
+    int fd = -1;
+    bool http = false;
+    /// Out of epoll after persistent accept failure, until `retry_at`
+    /// (doubling backoff, reset by any successful accept).
+    bool parked = false;
+    std::chrono::steady_clock::time_point retry_at{};
+    int backoff_ms = 0;
+  };
+
   struct WorkItem {
     struct Waiter {
       std::shared_ptr<Connection> conn;
@@ -192,70 +181,71 @@ class EventLoop {
     std::vector<Waiter> waiters;
   };
 
-  struct Poller {
-    int epoll_fd = -1;
-    int wake_fd = -1;  // eventfd
-    std::unordered_map<int, std::shared_ptr<Connection>> conns;
-    // Cross-thread inboxes, drained after every poll round.
-    std::mutex mu;
-    std::vector<std::shared_ptr<Connection>> incoming;
-    std::vector<std::shared_ptr<Connection>> completions;
-  };
-
-  void PollerLoop(int index);
+  void PollerLoop();
   void WorkerLoop();
-  void AcceptReady(Poller& p);
-  /// Accepts connections on the metrics listener (poller 0 only).
-  void AcceptMetricsReady(Poller& p);
+  /// Registers `fd` with the poller for EPOLLIN.
+  void Watch(int fd);
+  void CloseListener(Listener& listener);
+  /// Drains `listener`'s backlog. Out of fds, it still accepts the surplus
+  /// connection (through the reserve fd) to answer it Unavailable — a JSON
+  /// line, or an HTTP 503 on the metrics listener — and parks the
+  /// listener if even that fails.
+  void AcceptReady(Listener& listener);
   /// Parses a complete HTTP request head and queues the response; returns
   /// false when more bytes are needed.
-  bool HandleHttpRequest(Poller& p, const std::shared_ptr<Connection>& conn);
+  bool HandleHttpRequest(const std::shared_ptr<Connection>& conn);
   /// Deadline expiry, idle reaping, parked-listener retry — runs once per
   /// poll tick, and only when one of those features is armed.
-  void Housekeeping(Poller& p, int index);
+  void Housekeeping();
   /// Takes the listener out of epoll after persistent accept failure and
   /// schedules a doubling-backoff retry (no busy-spin on EMFILE).
-  void ParkListener(Poller& p);
-  void AdoptConnection(Poller& p, const std::shared_ptr<Connection>& conn);
-  void ReadReady(Poller& p, const std::shared_ptr<Connection>& conn);
+  void ParkListener(Listener& listener);
+  void ReadReady(const std::shared_ptr<Connection>& conn);
   /// Dispatches the connection's head pending line (serial per connection)
   /// and flushes whatever is ready.
-  void DispatchLines(Poller& p, const std::shared_ptr<Connection>& conn);
-  void FlushConnection(Poller& p, const std::shared_ptr<Connection>& conn);
-  void CloseConnection(Poller& p, const std::shared_ptr<Connection>& conn);
-  void UpdateInterest(Poller& p, Connection& conn);
+  void DispatchLines(const std::shared_ptr<Connection>& conn);
+  void FlushConnection(const std::shared_ptr<Connection>& conn);
+  void CloseConnection(const std::shared_ptr<Connection>& conn);
+  void UpdateInterest(Connection& conn);
   void Enqueue(std::shared_ptr<WorkItem> item);
   void Execute(WorkItem& item);
   /// Completes `span` at last-byte-flushed time: flush/total durations,
   /// the request histograms, the global span ring, and (over threshold)
   /// the slow-request log line.
   void FinalizeSpan(RequestSpan& span);
-  /// Hands the completed response back to each waiter's poller.
+  /// Hands the completed response back to the poller.
   void Complete(WorkItem& item);
 
   Server* server_;
-  int listen_fd_;
-  EventLoopOptions options_;
+  const ServerOptions& options_;
+  TransportMetrics& metrics_;
   int num_workers_ = 1;
   std::string overload_line_;      // pre-rendered accept-time rejection
   std::string fd_exhausted_line_;  // pre-rendered EMFILE rejection
+  std::string http_unavailable_;   // the same, for the metrics listener
 
-  std::vector<std::unique_ptr<Poller>> pollers_;
+  // Created by the constructor (so `Wake` never races their creation) and
+  // closed by the destructor; a creation failure surfaces from `Run`.
+  int epoll_fd_ = -1;
+  int wake_fd_ = -1;  // eventfd
+  Status setup_status_;
   std::atomic<bool> hard_stop_{false};
-  std::atomic<bool> listener_open_{false};
-  std::atomic<bool> metrics_listener_open_{false};
-  std::atomic<uint64_t> next_poller_{0};  // round-robin connection deal
 
-  // Poller-0 state: the EMFILE reserve fd (closed to free a slot so the
-  // victim can be accepted and told why it is being turned away) and the
-  // parked-listener backoff.
+  // Poller-thread state: the listeners, the connections, and the EMFILE
+  // reserve fd (closed to free a slot so the victim can be accepted and
+  // told why it is being turned away).
+  Listener listener_;
+  Listener metrics_listener_;
+  std::unordered_map<int, std::shared_ptr<Connection>> conns_;
   int spare_fd_ = -1;
-  bool listener_parked_ = false;
-  std::chrono::steady_clock::time_point listener_retry_at_{};
-  int accept_backoff_ms_ = 0;
 
-  // The shared request-work queue (all pollers feed it, all workers drain
-  // it) plus the pending-coalesce index over queued-but-unstarted q2 items.
+  // Connections whose head request a worker finished, drained by the
+  // poller after every poll round.
+  std::mutex completions_mu_;
+  std::vector<std::shared_ptr<Connection>> completions_;
+
+  // The shared request-work queue (the poller feeds it, all workers drain
+  // it) plus the pending-coalesce index over queued-but-unstarted items.
   std::mutex queue_mu_;
   std::condition_variable queue_cv_;
   std::deque<std::shared_ptr<WorkItem>> queue_;

@@ -50,6 +50,49 @@ std::string ResolveScratchDir(const ServerOptions& options) {
   return ec ? std::string(".") : tmp.string();
 }
 
+/// A listening TCP socket on 127.0.0.1 and the port it got.
+struct LoopbackListener {
+  int fd;
+  int port;
+};
+
+/// Binds and listens on 127.0.0.1:`port` (0 = ephemeral). `what` prefixes
+/// the error message.
+Result<LoopbackListener> ListenOnLoopback(int port, const char* what) {
+  if (port < 0 || port > 65535) {
+    return Status::InvalidArgument(
+        StrFormat("%sport %d outside [0, 65535]", what, port));
+  }
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) {
+    return Status::IoError(
+        StrFormat("%ssocket: %s", what, std::strerror(errno)));
+  }
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  // Loopback only: the protocol carries no authentication.
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  const char* failed = nullptr;
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    failed = "bind";
+  } else if (::listen(fd, SOMAXCONN) != 0) {
+    failed = "listen";
+  }
+  if (failed != nullptr) {
+    const Status status = Status::IoError(
+        StrFormat("%s%s: %s", what, failed, std::strerror(errno)));
+    ::close(fd);
+    return status;
+  }
+  socklen_t len = sizeof(addr);
+  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
+  return LoopbackListener{fd, static_cast<int>(ntohs(addr.sin_port))};
+}
+
 SessionStoreOptions StoreOptionsFrom(const ServerOptions& options) {
   SessionStoreOptions store;
   store.data_dir = options.data_dir;
@@ -391,15 +434,15 @@ Result<JsonValue> Server::Stats(const JsonValue& req) {
   // heal check — once the write backoff elapses, this call re-probes the
   // disk, so a healed dir clears here without waiting for the next save.
   out.Set("degraded", JsonValue(store_.CheckDegraded()));
+  // Transport counters come from the process-wide registry instruments
+  // (the ones the `metrics` op exports), so they sum over every server in
+  // the process.
+  const TransportMetrics& transport = TransportMetrics::Get();
   JsonValue connections = JsonValue::MakeObject();
-  connections.Set("active",
-                  JsonValue(transport_counters_.active_connections.load(
-                      std::memory_order_relaxed)));
+  connections.Set("active", JsonValue(transport.active_connections.Value()));
   connections.Set("max", JsonValue(options_.max_connections));
   connections.Set("rejected",
-                  JsonValue(transport_counters_.rejected_connections.load(
-                      std::memory_order_relaxed)));
-  connections.Set("pollers", JsonValue(options_.poller_threads));
+                  JsonValue(transport.rejected_connections.Value()));
   // As configured (0 = hardware concurrency), NOT resolved: stats output
   // stays machine-independent, which the scripted smoke diffs rely on.
   connections.Set("request_workers", JsonValue(options_.request_workers));
@@ -411,27 +454,17 @@ Result<JsonValue> Server::Stats(const JsonValue& req) {
                                 ? options_.request_workers
                                 : ThreadPool::HardwareThreads()));
   connections.Set("max_inflight", JsonValue(options_.max_inflight));
-  connections.Set("inflight",
-                  JsonValue(transport_counters_.inflight_requests.load(
-                      std::memory_order_relaxed)));
+  connections.Set("inflight", JsonValue(transport.inflight.Value()));
   connections.Set("rejected_requests",
-                  JsonValue(transport_counters_.rejected_requests.load(
-                      std::memory_order_relaxed)));
-  connections.Set("coalesced_q2",
-                  JsonValue(transport_counters_.coalesced_requests.load(
-                      std::memory_order_relaxed)));
+                  JsonValue(transport.rejected_requests.Value()));
+  connections.Set("coalesced_q2", JsonValue(transport.coalesce_hits.Value()));
   connections.Set("deadline_expired",
-                  JsonValue(transport_counters_.deadline_expired.load(
-                      std::memory_order_relaxed)));
-  connections.Set("idle_reaped",
-                  JsonValue(transport_counters_.idle_reaped.load(
-                      std::memory_order_relaxed)));
+                  JsonValue(transport.deadline_expired.Value()));
+  connections.Set("idle_reaped", JsonValue(transport.idle_reaped.Value()));
   connections.Set("oversized_requests",
-                  JsonValue(transport_counters_.oversized_requests.load(
-                      std::memory_order_relaxed)));
+                  JsonValue(transport.oversized_requests.Value()));
   connections.Set("overflow_closed",
-                  JsonValue(transport_counters_.output_overflow_closed.load(
-                      std::memory_order_relaxed)));
+                  JsonValue(transport.output_overflow_closed.Value()));
   out.Set("connections", std::move(connections));
   out.Set("uptime_ms",
           JsonValue(static_cast<uint64_t>((MonotonicNowNs() - start_ns_) /
@@ -609,94 +642,37 @@ void Server::RunStdio(std::istream& in, std::ostream& out) {
 }
 
 Status Server::ServeTcp(int port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
+  const Result<LoopbackListener> listener = ListenOnLoopback(port, "");
+  if (!listener.ok()) {
     bound_port_.store(-2);
-    return Status::IoError(StrFormat("socket: %s", std::strerror(errno)));
+    return listener.status();
   }
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  // Loopback only: the protocol carries no authentication.
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    const Status status =
-        Status::IoError(StrFormat("bind: %s", std::strerror(errno)));
-    ::close(fd);
-    bound_port_.store(-2);
-    return status;
-  }
-  if (::listen(fd, SOMAXCONN) != 0) {
-    const Status status =
-        Status::IoError(StrFormat("listen: %s", std::strerror(errno)));
-    ::close(fd);
-    bound_port_.store(-2);
-    return status;
-  }
-  socklen_t len = sizeof(addr);
-  ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
-
   // The /metrics HTTP listener (loopback, same event loop). Bound before
   // the main port is published so a client that saw both ports can scrape
   // immediately.
-  int metrics_fd = -1;
+  LoopbackListener metrics{-1, -1};
   if (options_.metrics_port >= 0) {
-    metrics_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (metrics_fd < 0) {
-      ::close(fd);
+    const Result<LoopbackListener> bound =
+        ListenOnLoopback(options_.metrics_port, "metrics ");
+    if (!bound.ok()) {
+      ::close(listener.value().fd);
       bound_port_.store(-2);
-      return Status::IoError(
-          StrFormat("metrics socket: %s", std::strerror(errno)));
+      return bound.status();
     }
-    ::setsockopt(metrics_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in maddr;
-    std::memset(&maddr, 0, sizeof(maddr));
-    maddr.sin_family = AF_INET;
-    maddr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    maddr.sin_port = htons(static_cast<uint16_t>(options_.metrics_port));
-    if (::bind(metrics_fd, reinterpret_cast<sockaddr*>(&maddr),
-               sizeof(maddr)) != 0 ||
-        ::listen(metrics_fd, SOMAXCONN) != 0) {
-      const Status status = Status::IoError(
-          StrFormat("metrics bind/listen: %s", std::strerror(errno)));
-      ::close(metrics_fd);
-      ::close(fd);
-      bound_port_.store(-2);
-      return status;
-    }
-    socklen_t mlen = sizeof(maddr);
-    ::getsockname(metrics_fd, reinterpret_cast<sockaddr*>(&maddr), &mlen);
-    bound_metrics_port_.store(static_cast<int>(ntohs(maddr.sin_port)));
+    metrics = bound.value();
+    bound_metrics_port_.store(metrics.port);
   }
+  listen_fd_.store(listener.value().fd);
+  bound_port_.store(listener.value().port);
 
-  listen_fd_.store(fd);
-  bound_port_.store(static_cast<int>(ntohs(addr.sin_port)));
-
-  EventLoopOptions loop_options;
-  loop_options.poller_threads = options_.poller_threads;
-  loop_options.request_workers = options_.request_workers;
-  loop_options.max_connections = options_.max_connections;
-  loop_options.max_inflight = options_.max_inflight;
-  loop_options.coalesce_q2 = options_.coalesce_q2;
-  loop_options.request_timeout_ms = options_.request_timeout_ms;
-  loop_options.idle_timeout_ms = options_.idle_timeout_ms;
-  loop_options.max_request_bytes = options_.max_request_bytes;
-  loop_options.output_hwm_bytes = options_.output_hwm_bytes;
-  loop_options.max_output_bytes = options_.max_output_bytes;
-  loop_options.metrics_listen_fd = metrics_fd;  // loop owns it from here
-  loop_options.slow_request_ms = options_.slow_request_ms;
-  loop_options.slow_log = options_.slow_log;
-  EventLoop loop(this, fd, loop_options);
+  // The event loop owns both listener fds from here (it closes them).
+  EventLoop loop(this, options_, listener.value().fd, metrics.fd);
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
     loop_ = &loop;
     serving_ = true;
   }
-  // The event loop owns the listener fd from here (it closes it); this
-  // thread becomes poller 0 until the transport winds down.
+  // This thread becomes the poller until the transport winds down.
   const Status status = loop.Run();
   listen_fd_.store(-1);
   {

@@ -43,21 +43,16 @@ struct ServerOptions {
   /// Max concurrent TCP connections; further accepts receive a structured
   /// Unavailable error and are closed. This guards the fd table only —
   /// idle connections are nearly free under the event loop, so the limit
-  /// can sit orders of magnitude above `max_inflight`. 0 = unlimited.
+  /// can sit orders of magnitude above `max_inflight`. Counted over every
+  /// TCP server in the process. 0 = unlimited.
   int max_connections = 0;
-  /// Event-loop threads holding the connections (listener + framing +
-  /// response flushing). One poller multiplexes thousands of mostly idle
-  /// connections; add pollers only for framing/flush throughput.
-  int poller_threads = 1;
   /// Threads executing dispatched requests. 0 = hardware concurrency.
   int request_workers = 0;
   /// Request-level admission: dispatched-but-unanswered requests beyond
   /// this bound answer Unavailable immediately instead of queueing. This —
-  /// not `max_connections` — is what bounds work in flight. 0 = unlimited.
+  /// not `max_connections` — is what bounds work in flight. Counted over
+  /// every TCP server in the process. 0 = unlimited.
   int max_inflight = 0;
-  /// Merge identical `q2` requests waiting at the same instant into one
-  /// engine evaluation fanned back to every waiter with its own id.
-  bool coalesce_q2 = true;
   /// Per-request deadline on the TCP transport: a request unanswered this
   /// long after dispatch returns DeadlineExceeded (with its id) and the
   /// worker's late result is discarded whole. The connection survives.
@@ -139,13 +134,16 @@ struct ServerOptions {
 /// eviction in every interleaving.
 ///
 /// Transports: `RunStdio` (requests on stdin, responses on stdout) and
-/// `ServeTcp` (loopback listener on an epoll event loop: `poller_threads`
-/// event-loop threads hold the connections and frame lines, a bounded pool
-/// of `request_workers` threads executes requests, and per-connection
-/// ordered response slots keep every connection's responses in request
-/// order and byte-identical to a blocking transport. Admission is
-/// two-level: `max_connections` guards the fd table at accept time,
-/// `max_inflight` bounds dispatched-but-unanswered requests).
+/// `ServeTcp` (loopback listener on an epoll event loop: the calling
+/// thread is the one poller that holds the connections and frames lines,
+/// a bounded pool of `request_workers` threads executes requests, and
+/// per-connection ordered response slots keep every connection's
+/// responses in request order and byte-identical to a blocking transport.
+/// Admission is two-level: `max_connections` guards the fd table at
+/// accept time, `max_inflight` bounds dispatched-but-unanswered requests.
+/// Both read the process-wide transport gauges (`TransportMetrics` in
+/// serve/event_loop.h), which are also the only record of transport
+/// events that the global `stats` op reports).
 class Server {
  public:
   explicit Server(ServerOptions options = ServerOptions());
@@ -167,9 +165,10 @@ class Server {
 
   /// Listens on 127.0.0.1:`port` (0 = ephemeral; see `port()`) and blocks
   /// until `Stop()`/`RequestStop()` or a `shutdown` request, running the
-  /// epoll event loop (the caller becomes poller 0). The call returns only
+  /// epoll event loop (the caller becomes its poller). The call returns only
   /// after every connection has drained (graceful) or been dropped
-  /// (`Stop`).
+  /// (`Stop`). A `port` or `metrics_port` outside [0, 65535] fails with
+  /// InvalidArgument before anything is bound.
   Status ServeTcp(int port);
 
   /// The bound TCP port once `ServeTcp` is listening; -1 before, -2 once
@@ -194,21 +193,6 @@ class Server {
 
   SessionRegistry& registry() { return registry_; }
   SessionStore& store() { return store_; }
-
-  /// Live transport gauges and counters, updated by the event loop and
-  /// reported by the global `stats` op.
-  struct TransportCounters {
-    std::atomic<int> active_connections{0};
-    std::atomic<int> inflight_requests{0};
-    std::atomic<uint64_t> rejected_connections{0};
-    std::atomic<uint64_t> rejected_requests{0};
-    std::atomic<uint64_t> coalesced_requests{0};
-    std::atomic<uint64_t> deadline_expired{0};
-    std::atomic<uint64_t> idle_reaped{0};
-    std::atomic<uint64_t> oversized_requests{0};
-    std::atomic<uint64_t> output_overflow_closed{0};
-  };
-  TransportCounters& transport_counters() { return transport_counters_; }
 
  private:
   /// The registry's handlers (op_registry.cc) are the only external code
@@ -258,7 +242,6 @@ class Server {
   std::atomic<int> bound_port_{-1};
   std::atomic<int> bound_metrics_port_{-1};
   std::atomic<int> listen_fd_{-1};
-  TransportCounters transport_counters_;
   /// Construction time, for the `stats` op's uptime_ms.
   const uint64_t start_ns_;
 

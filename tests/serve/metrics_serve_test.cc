@@ -2,7 +2,7 @@
 // snapshot (instruments, spans, fault sites), the resolved-vs-configured
 // worker count in `stats`, the slow-request structured log driven by an
 // injected execution stall, and the HTTP `GET /metrics` Prometheus
-// endpoint riding the same event loop.
+// endpoint riding the same event loop, including its fd-exhaustion path.
 
 #include <sys/socket.h>
 #include <netinet/in.h>
@@ -244,6 +244,40 @@ TEST(MetricsServeTest, HttpMetricsEndpointServesPrometheusText) {
   // main transport's connection accounting.
   const JsonValue stats = ParseOk(client.Issue("{\"op\":\"stats\"}"));
   EXPECT_EQ(stats.Find("connections")->Find("active")->number_value(), 1.0);
+
+  server.Stop();
+  serving.join();
+}
+
+TEST(MetricsServeTest, HttpListenerTurnsAwayOnFdExhaustionThenRecovers) {
+  // The metrics listener shares the main listener's accept path: out of
+  // fds, the surplus scrape is accepted through the reserve fd and told
+  // 503, rather than left in the backlog where the level-triggered
+  // listener would spin the poller.
+  FaultInjection::Clear();
+  ServerOptions options;
+  options.metrics_port = 0;
+  Server server(options);
+  std::thread serving = Serve(server);
+  ASSERT_GE(server.metrics_port(), 0);
+  LineClient client(server.port());
+  ASSERT_TRUE(client.connected());
+  Server twin;
+  const std::string ping = "{\"op\":\"ping\",\"id\":1}";
+  ASSERT_EQ(client.Issue(ping), twin.HandleLine(ping));
+
+  ASSERT_TRUE(FaultInjection::Configure("el.accept=once").ok());
+  const std::string refused =
+      HttpGet(server.metrics_port(), "GET /metrics HTTP/1.0\r\n\r\n");
+  EXPECT_EQ(refused.rfind("HTTP/1.1 503 Service Unavailable\r\n", 0), 0u)
+      << refused;
+  EXPECT_NE(refused.find("file descriptors exhausted"), std::string::npos);
+
+  const std::string scraped =
+      HttpGet(server.metrics_port(), "GET /metrics HTTP/1.0\r\n\r\n");
+  EXPECT_EQ(scraped.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << scraped;
+  EXPECT_EQ(client.Issue(ping), twin.HandleLine(ping));
+  FaultInjection::Clear();
 
   server.Stop();
   serving.join();

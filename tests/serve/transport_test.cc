@@ -1,8 +1,9 @@
 // The epoll transport's contract: responses byte-identical to the line
 // protocol's canonical rendering (Server::HandleLine) under partial
 // writes, pipelining, and concurrent connections; thousands of idle
-// connections held without threads; request-level admission control; and
-// identical q2 requests coalescing into one evaluation under load.
+// connections held without threads; request-level admission control;
+// identical q2 requests coalescing into one evaluation under load; and each
+// stats connection counter reading its one metrics-registry instrument.
 
 #include <sys/resource.h>
 #include <sys/socket.h>
@@ -305,6 +306,104 @@ TEST(TransportTest, InflightLimitRejectsWithStructuredError) {
   EXPECT_GE(
       stats.Find("connections")->Find("rejected_requests")->number_value(),
       1);
+
+  server.Stop();
+  serving.join();
+}
+
+TEST(TransportTest, OutOfRangePortsFailInsteadOfWrapping) {
+  // htons would wrap 70000 into a real port; the listener refuses it.
+  Server server;
+  EXPECT_EQ(server.ServeTcp(70000).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(server.port(), -2);
+
+  ServerOptions options;
+  options.metrics_port = 65536;
+  Server metrics(options);
+  EXPECT_EQ(metrics.ServeTcp(0).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(metrics.port(), -2);
+  EXPECT_EQ(metrics.metrics_port(), -1);
+}
+
+TEST(TransportTest, EveryConnectionCounterIsItsRegistryInstrument) {
+  // Each transport event is counted once, in the metrics registry: every
+  // counter field of the global stats op's `connections` object reads the
+  // instrument the `metrics` op exports under its registry name.
+  ServerOptions options;
+  options.request_workers = 1;
+  options.max_inflight = 1;
+  options.max_request_bytes = 256;
+  Server server(options);
+  std::thread serving = Serve(server);
+  const int port = server.port();
+
+  LineClient creator(port);
+  ASSERT_TRUE(creator.connected());
+  ParseOk(creator.Issue(CreateRequest("one", 120)));
+
+  // A rejected request: the single in-flight permit is held by a long run.
+  LineClient writer(port);
+  LineClient reader(port);
+  ASSERT_TRUE(writer.connected());
+  ASSERT_TRUE(reader.connected());
+  ASSERT_TRUE(writer.Send("{\"op\":\"clean_run\",\"session\":\"one\"}\n"));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const std::string rejection =
+      reader.Issue("{\"op\":\"q2\",\"session\":\"one\",\"val_indices\":[0]}");
+  EXPECT_NE(rejection.find("Unavailable"), std::string::npos) << rejection;
+  ParseOk(writer.ReadLine());
+
+  // An oversized line: answered, then the connection closes.
+  {
+    LineClient oversized(port);
+    ASSERT_TRUE(oversized.connected());
+    ASSERT_TRUE(oversized.Send(std::string(300, 'x') + "\n"));
+    EXPECT_NE(oversized.ReadLine(), "");
+    EXPECT_EQ(oversized.ReadLine(), "");
+  }
+
+  // Read both ops in process, so neither is itself in flight, once the
+  // transport has settled: three open connections and nothing in flight.
+  JsonValue connections;
+  for (int attempt = 0; attempt < 500; ++attempt) {
+    connections =
+        *ParseOk(server.HandleLine("{\"op\":\"stats\"}")).Find("connections");
+    if (connections.Find("inflight")->number_value() == 0 &&
+        connections.Find("active")->number_value() == 3) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_EQ(connections.Find("inflight")->number_value(), 0);
+  EXPECT_EQ(connections.Find("active")->number_value(), 3);
+  EXPECT_GE(connections.Find("rejected_requests")->number_value(), 1);
+  EXPECT_GE(connections.Find("oversized_requests")->number_value(), 1);
+
+  const JsonValue metrics = ParseOk(server.HandleLine("{\"op\":\"metrics\"}"));
+  const struct {
+    const char* field;
+    const char* kind;
+    const char* instrument;
+  } kSources[] = {
+      {"active", "gauges", "serve.active_connections"},
+      {"inflight", "gauges", "serve.inflight"},
+      {"rejected", "counters", "serve.rejected_connections_total"},
+      {"rejected_requests", "counters", "serve.rejected_requests_total"},
+      {"coalesced_q2", "counters", "serve.coalesce_hits_total"},
+      {"deadline_expired", "counters", "serve.deadline_expired_total"},
+      {"idle_reaped", "counters", "serve.idle_reaped_total"},
+      {"oversized_requests", "counters", "serve.oversized_requests_total"},
+      {"overflow_closed", "counters", "serve.output_overflow_closed_total"},
+  };
+  for (const auto& source : kSources) {
+    const JsonValue* field = connections.Find(source.field);
+    const JsonValue* instrument =
+        metrics.Find(source.kind)->Find(source.instrument);
+    ASSERT_NE(field, nullptr) << source.field;
+    ASSERT_NE(instrument, nullptr) << source.instrument;
+    EXPECT_EQ(field->number_value(), instrument->number_value())
+        << source.field << " vs " << source.instrument;
+  }
 
   server.Stop();
   serving.join();
