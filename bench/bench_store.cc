@@ -10,7 +10,6 @@
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
-#include <map>
 #include <memory>
 #include <random>
 #include <string>
@@ -70,36 +69,32 @@ JsonValue SpecFor(const std::string& name, int train_rows) {
       .value();
 }
 
-/// Builds (once per size, untimed) a live session over `train_rows` rows.
-/// Task construction dominates setup; every benchmark for one size shares
-/// the instance.
-std::shared_ptr<ServeSession> SessionForRows(int train_rows) {
-  static std::map<int, std::shared_ptr<ServeSession>>* sessions =
-      new std::map<int, std::shared_ptr<ServeSession>>();
-  auto it = sessions->find(train_rows);
-  if (it != sessions->end()) return it->second;
+/// Builds (untimed) a live session over `train_rows` rows. Every
+/// benchmark builds its own: a session carries its cleaning progress and
+/// its durable baseline, and neither may leak into the next benchmark.
+std::shared_ptr<ServeSession> MakeSession(int train_rows) {
   const std::string name = StrFormat("s%d", train_rows);
   const JsonValue spec = SpecFor(name, train_rows);
   const ServeSessionOptions options =
       ServeSessionOptionsFromRequest(spec, 0).value();
   CleaningTask task = BuildTaskFromSpec(spec).value();
-  std::shared_ptr<ServeSession> session =
-      ServeSession::Make(name, std::move(task), options, spec).value();
-  (*sessions)[train_rows] = session;
-  return session;
+  return ServeSession::Make(name, std::move(task), options, spec).value();
 }
 
 /// The pre-log save: serialize the whole session and rewrite its snapshot
-/// file atomically, every time. Each timed Save runs on a fresh store
-/// (untimed), which holds no durable baseline and so writes a full base.
-/// Cost scales with the dataset.
+/// file atomically, every time. Each timed Save follows an untimed
+/// cleaning step and, with a zero compaction threshold, writes a full
+/// base. Cost scales with the dataset.
 void BM_Save_FullSnapshot(benchmark::State& state) {
   const int rows = static_cast<int>(state.range(0));
   const std::string dir = FreshDataDir(StrFormat("full%d", rows));
-  const std::shared_ptr<ServeSession> session = SessionForRows(rows);
+  SessionStoreOptions options = StoreOptions(dir);
+  options.log_compact_bytes = 0;
+  SessionStore store(options);
+  const std::shared_ptr<ServeSession> session = MakeSession(rows);
   for (auto _ : state) {
     state.PauseTiming();
-    SessionStore store(StoreOptions(dir));
+    benchmark::DoNotOptimize(session->CleanStep(1).ok());
     state.ResumeTiming();
     benchmark::DoNotOptimize(store.Save(*session).ok());
   }
@@ -122,7 +117,7 @@ void BM_Save_LogAppend(benchmark::State& state) {
   const int rows = static_cast<int>(state.range(0));
   const std::string dir = FreshDataDir(StrFormat("delta%d", rows));
   SessionStore store(StoreOptions(dir));
-  const std::shared_ptr<ServeSession> session = SessionForRows(rows);
+  const std::shared_ptr<ServeSession> session = MakeSession(rows);
   // Establish the durable baseline so every timed Save is a delta.
   if (!store.Save(*session).ok()) {
     state.SkipWithError("baseline save failed");
@@ -148,7 +143,7 @@ void BM_Rehydrate_Replay(benchmark::State& state) {
   const int rows = static_cast<int>(state.range(0));
   const std::string dir = FreshDataDir(StrFormat("replay%d", rows));
   SessionStore store(StoreOptions(dir));
-  const std::shared_ptr<ServeSession> session = SessionForRows(rows);
+  const std::shared_ptr<ServeSession> session = MakeSession(rows);
   bool ok = store.Save(*session).ok();
   for (int i = 0; ok && i < 16; ++i) {
     ok = session->CleanStep(1).ok() && store.Save(*session).ok();

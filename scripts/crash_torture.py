@@ -29,7 +29,8 @@ rename committed before the kill is always a state the script can verify.
   evict           the server runs with --max-sessions=1 and each cycle
                   creates a fresh decoy session, forcing the LRU eviction
                   sweep to persist the torture session; kills land inside
-                  the sweep's prepare/retire/commit/drop window.
+                  the sweep's serialize/commit/drop window, which runs
+                  under the session's shared lock.
   compact         the server runs with --storage-mode=mmap and
                   --log-compact-bytes=64, so nearly every save folds the
                   log into a fresh base snapshot; kills land between the
@@ -237,7 +238,8 @@ def main():
                         # Persist by eviction: a fresh decoy session pushes
                         # the torture session (the LRU) through the sweep's
                         # save. An ok decoy create means the sweep's save
-                        # of the just-recorded state committed.
+                        # of the just-recorded state committed: no write
+                        # can land between its serialization and commit.
                         decoys += 1
                         response = client.rpc(CREATE.replace(
                             '"session":"t"', '"session":"d%d"' % decoys))

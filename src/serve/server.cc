@@ -129,16 +129,21 @@ Result<std::shared_ptr<ServeSession>> Server::FindSession(
   // ever contending with lifecycle transitions.
   Result<std::shared_ptr<ServeSession>> live = registry_.Get(name);
   if (live.ok() || !store_.enabled() || !store_.Saved(name)) return live;
-  // Evicted (or persisted by a previous process): rehydrate lazily. The
-  // expensive load (task rebuild + cleaning replay) runs OUTSIDE the
+  // Evicted (or persisted by a previous process): rehydrate lazily.
+  return Rehydrate(name);
+}
+
+Result<std::shared_ptr<ServeSession>> Server::Rehydrate(
+    const std::string& name) {
+  // The expensive load (task rebuild + cleaning replay) runs OUTSIDE the
   // lifecycle lock so a slow rehydration cannot stall every other
   // lifecycle transition; publication re-validates under the lock.
   CP_ASSIGN_OR_RETURN(std::shared_ptr<ServeSession> session,
                       store_.Load(name));
   {
     std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
-    live = registry_.Get(name);  // re-check: another request rehydrated it
-    if (live.ok()) return live;
+    Result<std::shared_ptr<ServeSession>> live = registry_.Get(name);
+    if (live.ok()) return live;  // another request rehydrated it first
     if (!store_.Saved(name)) {
       // A drop_session raced the load: publishing our copy would resurrect
       // a session the client was told is gone.
@@ -211,8 +216,8 @@ Result<JsonValue> Server::CreateSession(const JsonValue& req) {
     }
   }
   // The capacity sweep runs outside the lifecycle lock (snapshot
-  // serialization and writer drain are the expensive parts; the sweep
-  // takes the lock itself around its commit).
+  // serialization is the expensive part; the sweep takes the lock itself
+  // around its commit).
   const Result<std::vector<std::string>> evicted =
       store_.EnforceCapacity(registry_, lifecycle_mu_);
   if (!evicted.ok()) {
@@ -335,11 +340,11 @@ Result<JsonValue> Server::SaveSession(const JsonValue& req) {
     return out;
   }
   CP_ASSIGN_OR_RETURN(const std::shared_ptr<ServeSession> session, live);
-  // The store serializes OUTSIDE the lifecycle lock (serialization blocks
-  // on the session's shared_mutex — a long clean_run could hold that for
-  // a while — and unrelated lifecycle ops must not queue behind it); only
-  // the disk commit is a lifecycle transition, made only while the
-  // registry still holds this instance.
+  // The store serializes OUTSIDE the lifecycle lock (serialization waits
+  // for the session's shared lock — a long clean_run could hold it
+  // exclusively for a while — and unrelated lifecycle ops must not queue
+  // behind it); only the disk commit is a lifecycle transition, made only
+  // while the registry still holds this instance.
   CP_ASSIGN_OR_RETURN(
       const bool committed,
       store_.SavePublished(registry_, lifecycle_mu_, *session));
@@ -349,8 +354,8 @@ Result<JsonValue> Server::SaveSession(const JsonValue& req) {
       return Status::NotFound(StrFormat(
           "session \"%s\" was dropped while being saved", name.c_str()));
     }
-    // Evicted while we serialized; the sweep's save is at least as fresh
-    // as ours.
+    // Evicted before our save took the session's lock; the sweep saved
+    // the same state, and no write can have landed on it since.
     out.Set("state", JsonValue("evicted"));
     return out;
   }
@@ -364,21 +369,9 @@ Result<JsonValue> Server::LoadSession(const JsonValue& req) {
     return Status::AlreadyExists(StrFormat(
         "session \"%s\" is already live", name.c_str()));
   }
-  // As in FindSession: load outside the lifecycle lock, publish under it.
+  // A concurrent rehydration that published first answers for both.
   CP_ASSIGN_OR_RETURN(const std::shared_ptr<ServeSession> session,
-                      store_.Load(name));
-  {
-    std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
-    if (!store_.Saved(name)) {
-      return Status::NotFound(StrFormat(
-          "session \"%s\" was dropped while being rehydrated", name.c_str()));
-    }
-    const Status inserted = registry_.Insert(session);
-    if (!inserted.ok()) return inserted;
-  }
-  // Best effort, as in FindSession: the explicit load succeeded even if
-  // the capacity sweep could not save its victim.
-  (void)store_.EnforceCapacity(registry_, lifecycle_mu_);
+                      Rehydrate(name));
   // The full session snapshot doubles as the load summary (progress,
   // resolved options, version).
   return session->Stats();

@@ -111,27 +111,26 @@ struct ServerOptions {
 /// from it. See README "Serving".
 ///
 /// Concurrency: per-session ops are classified read (q2, predict,
-/// certify, explain, why_certified, stats — and save_session's snapshot
-/// serialization) vs write (clean_step, clean_run); reads on one session
-/// run concurrently on its shared lock, writes serialize. Lifecycle
-/// transitions (create/publish, drop, the disk commit of a save,
-/// load/rehydration publication, eviction) additionally serialize on a
-/// server-wide lifecycle mutex — expensive work (task builds, snapshot
-/// loads/serialization) happens outside it. Saves and eviction sweeps
-/// order on the store's save mutex. Lock order: store save order →
-/// session locks → lifecycle → store durable state (see SessionStore).
-/// Different sessions always proceed concurrently and share the
-/// process-global thread pool.
+/// certify, explain, why_certified, stats — and every save, from
+/// serialization to disk commit) vs write (clean_step, clean_run); reads
+/// on one session run concurrently on its shared lock, writes serialize.
+/// Lifecycle transitions (create/publish, drop, the disk commit of a
+/// save, load/rehydration publication, eviction) additionally serialize
+/// on a server-wide lifecycle mutex — expensive work (task builds,
+/// snapshot loads/serialization) happens outside it. Saves and eviction
+/// sweeps order on the store's save mutex. Lock order: store save order →
+/// session lock → lifecycle (see SessionStore). Different sessions always
+/// proceed concurrently and share the process-global thread pool.
 ///
 /// Lifecycle: with a `data_dir`, sessions move live → evicted (LRU past
 /// `max_sessions`, saved to disk) → rehydrated (lazily, on the next
 /// request naming them, or explicitly via `load_session`). The eviction
-/// sweep retires its victim (draining in-flight writers) before the
-/// registry drop: a write acknowledged during the snapshot serialization
-/// triggers a dirty re-save, and a write arriving on the detached
-/// instance afterwards answers Unavailable("evicted; retry") — the retry
-/// lands on the rehydrated incarnation, so acknowledged writes survive
-/// eviction in every interleaving.
+/// sweep holds its victim's shared lock from serialization through the
+/// registry drop, and marks the instance evicted before releasing it: a
+/// write either landed before the save (and is in it) or waits and then
+/// answers Unavailable("evicted; retry") — the retry lands on the
+/// rehydrated incarnation, so acknowledged writes survive eviction in
+/// every interleaving.
 ///
 /// Transports: `RunStdio` (requests on stdin, responses on stdout) and
 /// `ServeTcp` (loopback listener on an epoll event loop: the calling
@@ -224,6 +223,13 @@ class Server {
   /// a previous server process over the same data dir) is loaded from its
   /// snapshot on the next request that names it.
   Result<std::shared_ptr<ServeSession>> FindSession(const std::string& name);
+
+  /// The one rehydrate path (lazy via FindSession, explicit via
+  /// load_session): loads `name` outside `lifecycle_mu_`, then under it
+  /// returns a live session another request published meanwhile, refuses
+  /// a name a racing drop deleted, or publishes the loaded instance; a
+  /// publication then runs the capacity sweep.
+  Result<std::shared_ptr<ServeSession>> Rehydrate(const std::string& name);
 
   ServerOptions options_;
   SessionRegistry registry_;

@@ -157,227 +157,172 @@ Result<std::vector<double>> ServeSession::ValPoint(int index) const {
 }
 
 template <typename Fn>
-Result<JsonValue> ServeSession::Cached(const std::string& key,
-                                       uint64_t version, Fn compute) {
+Result<JsonValue> ServeSession::CachedRead(const char* op, int param,
+                                           const std::vector<double>& point,
+                                           Fn compute) {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  requests_.fetch_add(1, std::memory_order_relaxed);
+  Touch();
+  const IncompleteDataset& working = cleaner_->working();
+  if (static_cast<int>(point.size()) != working.dim()) {
+    return Status::InvalidArgument(
+        StrFormat("point has %d features, dataset has %d",
+                  static_cast<int>(point.size()), working.dim()));
+  }
+  const uint64_t version = working.version();
+  const std::string key =
+      QueryCacheKey(op, kernel_->name(), options_.k, param, point);
   {
     ScopedSpanPhase phase(kSpanCacheLookup);
     if (std::optional<JsonValue> hit = cache_.Lookup(key, version)) {
       return *std::move(hit);
     }
   }
-  Result<JsonValue> computed = compute();
-  if (computed.ok()) cache_.Insert(key, version, computed.value());
+  Result<JsonValue> computed = compute(working);
+  if (!computed.ok()) return computed;
+  computed.value().Set("version", JsonValue(version));
+  cache_.Insert(key, version, computed.value());
   return computed;
 }
 
 Result<JsonValue> ServeSession::Certify(const std::vector<double>& point,
                                         int max_cleaned) {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  Touch();
-  const uint64_t version = cleaner_->working().version();
-  const std::string key = QueryCacheKey("certify", kernel_->name(),
-                                        options_.k, max_cleaned, point);
-  return Cached(key, version, [&]() -> Result<JsonValue> {
-    CertifyOptions certify_options;
-    certify_options.k = options_.k;
-    certify_options.max_cleaned = max_cleaned;
-    certify_options.num_threads = options_.num_threads;
-    ScopedSpanPhase compute_phase(kSpanKernelCompute);
-    CP_ASSIGN_OR_RETURN(
-        const CertifyResult certified,
-        CertifyOnDataset(cleaner_->working(), task_.true_candidate, point,
-                         *kernel_, certify_options));
-    JsonValue out = JsonValue::MakeObject();
-    out.Set("certified", JsonValue(certified.certified));
-    out.Set("label", JsonValue(certified.certain_label));
-    out.Set("cleaned", JsonValue::FromInts(certified.cleaned));
-    out.Set("version", JsonValue(version));
-    return out;
-  });
+  return CachedRead(
+      "certify", max_cleaned, point,
+      [&](const IncompleteDataset& working) -> Result<JsonValue> {
+        CertifyOptions certify_options;
+        certify_options.k = options_.k;
+        certify_options.max_cleaned = max_cleaned;
+        certify_options.num_threads = options_.num_threads;
+        ScopedSpanPhase compute_phase(kSpanKernelCompute);
+        CP_ASSIGN_OR_RETURN(
+            const CertifyResult certified,
+            CertifyOnDataset(working, task_.true_candidate, point, *kernel_,
+                             certify_options));
+        JsonValue out = JsonValue::MakeObject();
+        out.Set("certified", JsonValue(certified.certified));
+        out.Set("label", JsonValue(certified.certain_label));
+        out.Set("cleaned", JsonValue::FromInts(certified.cleaned));
+        return out;
+      });
 }
 
 Result<JsonValue> ServeSession::Q2(const std::vector<double>& point) {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  Touch();
-  const IncompleteDataset& working = cleaner_->working();
-  if (static_cast<int>(point.size()) != working.dim()) {
-    return Status::InvalidArgument(
-        StrFormat("point has %d features, dataset has %d",
-                  static_cast<int>(point.size()), working.dim()));
-  }
-  const uint64_t version = working.version();
-  const std::string key =
-      QueryCacheKey("q2", kernel_->name(), options_.k, -1, point);
-  return Cached(key, version, [&]() -> Result<JsonValue> {
-    // A private engine per concurrent reader; SetTestPoint re-binds when
-    // the lease is stamped with a superseded dataset version.
-    std::optional<EnginePool::Lease> engine;
-    {
-      ScopedSpanPhase phase(kSpanEngineAcquire);
-      engine.emplace(engines_->Acquire());
-    }
-    ScopedSpanPhase compute_phase(kSpanKernelCompute);
-    (*engine)->SetTestPoint(point, *kernel_);
-    const std::vector<double> probs = (*engine)->Fractions();
-    JsonValue out = JsonValue::MakeObject();
-    out.Set("probs", JsonValue::FromDoubles(probs));
-    out.Set("entropy", JsonValue(Entropy(probs)));
-    out.Set("version", JsonValue(version));
-    return out;
-  });
+  return CachedRead(
+      "q2", -1, point, [&](const IncompleteDataset&) -> Result<JsonValue> {
+        // A private engine per concurrent reader; SetTestPoint re-binds
+        // when the lease is stamped with a superseded dataset version.
+        std::optional<EnginePool::Lease> engine;
+        {
+          ScopedSpanPhase phase(kSpanEngineAcquire);
+          engine.emplace(engines_->Acquire());
+        }
+        ScopedSpanPhase compute_phase(kSpanKernelCompute);
+        (*engine)->SetTestPoint(point, *kernel_);
+        const std::vector<double> probs = (*engine)->Fractions();
+        JsonValue out = JsonValue::MakeObject();
+        out.Set("probs", JsonValue::FromDoubles(probs));
+        out.Set("entropy", JsonValue(Entropy(probs)));
+        return out;
+      });
 }
 
 Result<JsonValue> ServeSession::Predict(const std::vector<double>& point) {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  Touch();
-  const IncompleteDataset& working = cleaner_->working();
-  if (static_cast<int>(point.size()) != working.dim()) {
-    return Status::InvalidArgument(
-        StrFormat("point has %d features, dataset has %d",
-                  static_cast<int>(point.size()), working.dim()));
-  }
-  const uint64_t version = working.version();
-  const std::string key =
-      QueryCacheKey("predict", kernel_->name(), options_.k, -1, point);
-  return Cached(key, version, [&]() -> Result<JsonValue> {
-    const CertainPredictor predictor(kernel_.get(), options_.k);
-    ScopedSpanPhase compute_phase(kSpanKernelCompute);
-    const CheckResult check = predictor.Check(working, point);
-    const int label = check.CertainLabel();
-    JsonValue out = JsonValue::MakeObject();
-    out.Set("certain", JsonValue(label >= 0));
-    out.Set("label", JsonValue(label));
-    out.Set("version", JsonValue(version));
-    return out;
-  });
+  return CachedRead(
+      "predict", -1, point,
+      [&](const IncompleteDataset& working) -> Result<JsonValue> {
+        const CertainPredictor predictor(kernel_.get(), options_.k);
+        ScopedSpanPhase compute_phase(kSpanKernelCompute);
+        const int label = predictor.Check(working, point).CertainLabel();
+        JsonValue out = JsonValue::MakeObject();
+        out.Set("certain", JsonValue(label >= 0));
+        out.Set("label", JsonValue(label));
+        return out;
+      });
 }
 
 Result<JsonValue> ServeSession::Explain(const std::vector<double>& point) {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  Touch();
-  const IncompleteDataset& working = cleaner_->working();
-  if (static_cast<int>(point.size()) != working.dim()) {
-    return Status::InvalidArgument(
-        StrFormat("point has %d features, dataset has %d",
-                  static_cast<int>(point.size()), working.dim()));
-  }
-  const uint64_t version = working.version();
-  const std::string key =
-      QueryCacheKey("explain", kernel_->name(), options_.k, -1, point);
-  return Cached(key, version, [&]() -> Result<JsonValue> {
-    ScopedSpanPhase compute_phase(kSpanKernelCompute);
-    CP_ASSIGN_OR_RETURN(
-        const WitnessSet witness,
-        ExplainPrediction(working, point, *kernel_, options_.k));
-    JsonValue out = JsonValue::MakeObject();
-    out.Set("certain", JsonValue(witness.certain));
-    out.Set("label", JsonValue(witness.label));
-    out.Set("witnesses", JsonValue::FromInts(witness.tuples));
-    out.Set("support", JsonValue::FromInts(witness.support));
-    out.Set("minimal", JsonValue(witness.minimal));
-    out.Set("version", JsonValue(version));
-    return out;
-  });
+  return CachedRead(
+      "explain", -1, point,
+      [&](const IncompleteDataset& working) -> Result<JsonValue> {
+        ScopedSpanPhase compute_phase(kSpanKernelCompute);
+        CP_ASSIGN_OR_RETURN(
+            const WitnessSet witness,
+            ExplainPrediction(working, point, *kernel_, options_.k));
+        JsonValue out = JsonValue::MakeObject();
+        out.Set("certain", JsonValue(witness.certain));
+        out.Set("label", JsonValue(witness.label));
+        out.Set("witnesses", JsonValue::FromInts(witness.tuples));
+        out.Set("support", JsonValue::FromInts(witness.support));
+        out.Set("minimal", JsonValue(witness.minimal));
+        return out;
+      });
 }
 
 Result<JsonValue> ServeSession::WhyCertified(
     const std::vector<double>& point) {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  Touch();
-  const IncompleteDataset& working = cleaner_->working();
-  if (static_cast<int>(point.size()) != working.dim()) {
-    return Status::InvalidArgument(
-        StrFormat("point has %d features, dataset has %d",
-                  static_cast<int>(point.size()), working.dim()));
-  }
-  const uint64_t version = working.version();
-  const std::string key = QueryCacheKey("why_certified", kernel_->name(),
-                                        options_.k, -1, point);
-  return Cached(key, version, [&]() -> Result<JsonValue> {
-    ScopedSpanPhase compute_phase(kSpanKernelCompute);
-    CP_ASSIGN_OR_RETURN(
-        const WitnessSet witness,
-        ExplainPrediction(working, point, *kernel_, options_.k));
-    // The decision trail: cleaning steps whose fixed tuple the
-    // certification rests on (witness tuples stay ascending, so a binary
-    // search per record suffices). The audit only moves under the
-    // exclusive lock, so reading it here under the shared lock is
-    // coherent with `version`.
-    JsonValue trail = JsonValue::MakeArray();
-    for (const CleaningAuditRecord& record : cleaner_->audit()) {
-      if (!std::binary_search(witness.tuples.begin(), witness.tuples.end(),
-                              record.example)) {
-        continue;
-      }
-      JsonValue entry = JsonValue::MakeObject();
-      entry.Set("step", JsonValue(record.step));
-      entry.Set("tuple", JsonValue(record.example));
-      entry.Set("version", JsonValue(record.version));
-      entry.Set("newly_certain", JsonValue::FromInts(record.newly_certain));
-      trail.Append(std::move(entry));
-    }
-    JsonValue out = JsonValue::MakeObject();
-    out.Set("certified", JsonValue(witness.certain));
-    out.Set("label", JsonValue(witness.label));
-    out.Set("witnesses", JsonValue::FromInts(witness.tuples));
-    out.Set("minimal", JsonValue(witness.minimal));
-    out.Set("trail", std::move(trail));
-    out.Set("version", JsonValue(version));
-    return out;
-  });
+  return CachedRead(
+      "why_certified", -1, point,
+      [&](const IncompleteDataset& working) -> Result<JsonValue> {
+        ScopedSpanPhase compute_phase(kSpanKernelCompute);
+        CP_ASSIGN_OR_RETURN(
+            const WitnessSet witness,
+            ExplainPrediction(working, point, *kernel_, options_.k));
+        // The decision trail: cleaning steps whose fixed tuple the
+        // certification rests on (witness tuples stay ascending, so a
+        // binary search per record suffices). The audit only moves under
+        // the exclusive lock, so reading it here under the shared lock is
+        // coherent with the version.
+        JsonValue trail = JsonValue::MakeArray();
+        for (const CleaningAuditRecord& record : cleaner_->audit()) {
+          if (!std::binary_search(witness.tuples.begin(),
+                                  witness.tuples.end(), record.example)) {
+            continue;
+          }
+          JsonValue entry = JsonValue::MakeObject();
+          entry.Set("step", JsonValue(record.step));
+          entry.Set("tuple", JsonValue(record.example));
+          entry.Set("version", JsonValue(record.version));
+          entry.Set("newly_certain",
+                    JsonValue::FromInts(record.newly_certain));
+          trail.Append(std::move(entry));
+        }
+        JsonValue out = JsonValue::MakeObject();
+        out.Set("certified", JsonValue(witness.certain));
+        out.Set("label", JsonValue(witness.label));
+        out.Set("witnesses", JsonValue::FromInts(witness.tuples));
+        out.Set("minimal", JsonValue(witness.minimal));
+        out.Set("trail", std::move(trail));
+        return out;
+      });
 }
 
 Result<JsonValue> ServeSession::CleanStep(int steps) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  Touch();
-  if (retired_) {
-    return Status::Unavailable(StrFormat(
-        "session \"%s\" was evicted; retry the request", name_.c_str()));
-  }
-  if (steps < 1) return Status::InvalidArgument("steps must be >= 1");
-  std::vector<int> cleaned;
-  for (int s = 0; s < steps; ++s) {
-    const int example = cleaner_->StepGreedy();
-    if (example < 0) break;
-    cleaned.push_back(example);
-  }
-  if (!cleaned.empty()) {
-    write_seq_.fetch_add(1, std::memory_order_relaxed);
-  }
-  JsonValue out = JsonValue::MakeObject();
-  out.Set("cleaned", JsonValue::FromInts(cleaned));
-  out.Set("frac_val_certain", JsonValue(cleaner_->FracValCertain()));
-  out.Set("dirty_remaining", JsonValue(cleaner_->NumDirtyRemaining()));
-  out.Set("version", JsonValue(cleaner_->working().version()));
-  return out;
+  return Clean(steps, /*run=*/false);
 }
 
 Result<JsonValue> ServeSession::CleanRun(int budget) {
+  return Clean(budget, /*run=*/true);
+}
+
+Result<JsonValue> ServeSession::Clean(int limit, bool run) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   requests_.fetch_add(1, std::memory_order_relaxed);
   Touch();
-  if (retired_) {
+  if (evicted_.load(std::memory_order_relaxed)) {
     return Status::Unavailable(StrFormat(
         "session \"%s\" was evicted; retry the request", name_.c_str()));
   }
+  if (!run && limit < 1) return Status::InvalidArgument("steps must be >= 1");
   std::vector<int> cleaned;
-  while (budget < 0 || static_cast<int>(cleaned.size()) < budget) {
+  while (limit < 0 || static_cast<int>(cleaned.size()) < limit) {
     const int example = cleaner_->StepGreedy();
     if (example < 0) break;
     cleaned.push_back(example);
   }
-  if (!cleaned.empty()) {
-    write_seq_.fetch_add(1, std::memory_order_relaxed);
-  }
   JsonValue out = JsonValue::MakeObject();
   out.Set("cleaned", JsonValue::FromInts(cleaned));
-  out.Set("steps", JsonValue(static_cast<int>(cleaned.size())));
+  if (run) out.Set("steps", JsonValue(static_cast<int>(cleaned.size())));
   out.Set("frac_val_certain", JsonValue(cleaner_->FracValCertain()));
   out.Set("dirty_remaining", JsonValue(cleaner_->NumDirtyRemaining()));
   out.Set("version", JsonValue(cleaner_->working().version()));
@@ -438,23 +383,16 @@ JsonValue ServeSession::Stats() {
 }
 
 ServeSession::SnapshotDelta ServeSession::SerializeDelta(
-    uint64_t since_version) {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+    uint64_t since_version) const {
   SnapshotDelta delta;
   const IncompleteDataset& working = cleaner_->working();
   delta.version = working.version();
-  delta.write_seq = write_seq_.load(std::memory_order_relaxed);
   delta.available = working.JournalCovers(since_version);
   if (delta.available) delta.records = working.JournalSince(since_version);
   return delta;
 }
 
-std::string ServeSession::SerializeSnapshot(uint64_t* write_seq_out,
-                                            uint64_t* version_out) {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  // Coherent with the bits below: mutations need the exclusive lock, so
-  // the counter cannot move mid-serialization.
-  *write_seq_out = write_seq_.load(std::memory_order_relaxed);
+std::string ServeSession::SerializeSnapshot(uint64_t* version_out) const {
   *version_out = cleaner_->working().version();
   std::vector<SerializedSection> sections;
   if (spec_.is_object()) {
@@ -490,17 +428,6 @@ std::string ServeSession::SerializeSnapshot(uint64_t* write_seq_out,
       {StrFormat("fingerprint %016llx",
                  static_cast<unsigned long long>(TaskFingerprint(task_)))}});
   return SerializeIncompleteDataset(cleaner_->working(), sections);
-}
-
-bool ServeSession::Retire(uint64_t since_write_seq) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  retired_ = true;
-  return write_seq_.load(std::memory_order_relaxed) != since_write_seq;
-}
-
-void ServeSession::Unretire() {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  retired_ = false;
 }
 
 Status ServeSession::RestoreCleaning(const CleaningSnapshot& snapshot,

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
@@ -68,7 +69,7 @@ uint64_t TaskFingerprint(const CleaningTask& task);
 /// synchronized by a `std::shared_mutex`:
 ///
 ///   read  (shared lock, run concurrently):  q2, predict, certify, stats,
-///                                           snapshot serialization
+///                                           a session-store save
 ///   write (exclusive lock, serialize):      clean_step, clean_run
 ///
 /// CP queries are pure reads of the working incomplete dataset, so N
@@ -77,6 +78,12 @@ uint64_t TaskFingerprint(const CleaningTask& task);
 /// mutates, bumps the dataset version (retiring every cached answer and
 /// engine binding), and lets readers back in. Served answers stay
 /// bit-identical to direct library calls at the same dataset version.
+///
+/// A session is live or evicted, and moves only from live to evicted:
+/// the session store's eviction sweep sets the bit while it still holds
+/// the shared lock its save committed under, so every write the saved
+/// state lacks waits for that lock and then answers
+/// Unavailable("evicted; retry") instead of mutating a dropped instance.
 class ServeSession {
  public:
   /// Validates options, instantiates the kernel and the cleaning session,
@@ -106,15 +113,6 @@ class ServeSession {
   /// eviction policy's LRU order (wall-clock ms ties under bursts).
   uint64_t last_request_seq() const {
     return last_request_seq_.load(std::memory_order_relaxed);
-  }
-
-  /// Monotone count of completed mutations (clean_step/clean_run that
-  /// cleaned at least one tuple). `SerializeSnapshot` reports the count
-  /// its snapshot captured; comparing the two is the eviction sweep's
-  /// dirty flag — a mismatch means an acknowledged write postdates the
-  /// snapshot and a re-save must run before the session may be dropped.
-  uint64_t write_seq() const {
-    return write_seq_.load(std::memory_order_relaxed);
   }
 
   /// Resolves a batched request's points: either explicit feature vectors
@@ -156,34 +154,6 @@ class ServeSession {
   /// options, last-request timestamp, cache + engine-pool counters.
   JsonValue Stats();
 
-  /// Serializes the session as an incomplete-dataset snapshot (working
-  /// dataset + version + "spec", "cleaning", "audit" and "task" sections)
-  /// for the session store. `write_seq_out` receives the `write_seq()`
-  /// the snapshot captured — coherent with the serialized bits because
-  /// writes take the exclusive lock, so no mutation can interleave — and
-  /// `version_out` the working dataset's `version()` (the cleaning log's
-  /// sequence anchor).
-  std::string SerializeSnapshot(uint64_t* write_seq_out,
-                                uint64_t* version_out);
-
-  /// Everything the session mutated since a durable version — the
-  /// O(delta) alternative to SerializeSnapshot.
-  struct SnapshotDelta {
-    /// False when the working journal cannot reconstruct the gap (the
-    /// caller must fall back to a full snapshot).
-    bool available = false;
-    /// Mutations with seq > since_version, in order (empty = durably
-    /// current already).
-    std::vector<MutationRecord> records;
-    /// Working dataset version after the last record.
-    uint64_t version = 0;
-    /// write_seq() captured coherently with the records.
-    uint64_t write_seq = 0;
-  };
-
-  /// Captures the mutation delta since `since_version` (shared lock).
-  SnapshotDelta SerializeDelta(uint64_t since_version);
-
   // --- Write operations (exclusive lock) -----------------------------------
 
   /// Advances up to `steps` greedy CPClean steps. Result: {cleaned: [ids],
@@ -204,41 +174,64 @@ class ServeSession {
   Status RestoreCleaning(const CleaningSnapshot& snapshot,
                          const IncompleteDataset& expected);
 
-  // --- Eviction handshake (exclusive lock) ----------------------------------
-
-  /// The eviction sweep's commit point, called BEFORE the registry drop
-  /// (the ordering `Unretire` rollback correctness depends on — retiring
-  /// after the drop would strand a failed re-save on an unreachable
-  /// instance): takes the exclusive lock (draining in-flight writers),
-  /// marks the session retired — every later write op answers
-  /// Unavailable("evicted; retry") instead of mutating an instance about
-  /// to be dropped — and returns whether `write_seq()` advanced past
-  /// `since_write_seq`, i.e. whether a write was acknowledged after the
-  /// sweep prepared its save, which must then be re-prepared. Once retired
-  /// no writer can mutate the session, so the sweep re-prepares outside
-  /// the exclusive lock. Together with the dirty check this closes the
-  /// save→drop window: an acknowledged write is either in the first save,
-  /// in the re-save, or was never acknowledged.
-  bool Retire(uint64_t since_write_seq);
-
-  /// Rolls back `Retire` when the re-save could not be written (the sweep
-  /// re-publishes the session instead of dropping it).
-  void Unretire();
-
  private:
+  /// The store reads the session under `mu_` (shared) for a save, keeps
+  /// the durable baseline, and sets the evicted bit.
+  friend class SessionStore;
+
+  /// What is on disk for this session: the base snapshot's dataset
+  /// version, the version base + log together reach, and the log's
+  /// durable byte length.
+  struct DurableBaseline {
+    uint64_t base_version = 0;
+    uint64_t durable_version = 0;
+    size_t log_bytes = 0;
+  };
+
+  /// Everything the session mutated since a durable version — the
+  /// O(delta) alternative to SerializeSnapshot.
+  struct SnapshotDelta {
+    /// False when the working journal cannot reconstruct the gap (the
+    /// caller must fall back to a full snapshot).
+    bool available = false;
+    /// Mutations with seq > since_version, in order (empty = durably
+    /// current already).
+    std::vector<MutationRecord> records;
+    /// Working dataset version after the last record.
+    uint64_t version = 0;
+  };
+
   ServeSession(std::string name, CleaningTask task,
                const ServeSessionOptions& options, JsonValue spec);
 
   /// Stamps this request into the LRU bookkeeping.
   void Touch();
 
-  /// Cache-through helper: returns the cached value for `key` at
-  /// `version` or computes, inserts, and returns it. Runs under the
-  /// caller's (shared) lock; concurrent same-key misses recompute the
-  /// same bits.
+  /// The body every per-point read op shares: shared lock, request
+  /// accounting, the dimension check, and a cache lookup keyed by `op`
+  /// and `param` at the current dataset version. On a miss
+  /// `compute(working)` builds the answer, which gets the `version` it was
+  /// computed at appended and is cached. Concurrent same-key misses
+  /// recompute the same bits.
   template <typename Fn>
-  Result<JsonValue> Cached(const std::string& key, uint64_t version,
-                           Fn compute);
+  Result<JsonValue> CachedRead(const char* op, int param,
+                               const std::vector<double>& point,
+                               Fn compute);
+
+  /// The body of clean_step (`run` false: exactly `limit` >= 1 steps at
+  /// most) and clean_run (`run` true: `limit` = budget, -1 unbounded; the
+  /// response also reports `steps`), under the exclusive lock.
+  Result<JsonValue> Clean(int limit, bool run);
+
+  /// Captures the mutation delta since `since_version`. Caller holds
+  /// `mu_` (shared).
+  SnapshotDelta SerializeDelta(uint64_t since_version) const;
+
+  /// Serializes the session as an incomplete-dataset snapshot (working
+  /// dataset + version + "spec", "cleaning", "audit" and "task" sections);
+  /// `version_out` receives the working dataset's `version()` (the
+  /// cleaning log's sequence anchor). Caller holds `mu_` (shared).
+  std::string SerializeSnapshot(uint64_t* version_out) const;
 
   const std::string name_;
   CleaningTask task_;
@@ -251,10 +244,12 @@ class ServeSession {
   std::atomic<uint64_t> requests_{0};
   std::atomic<int64_t> last_request_ms_{0};
   std::atomic<uint64_t> last_request_seq_{0};
-  std::atomic<uint64_t> write_seq_{0};
-  /// Set (under the exclusive lock) once the eviction sweep has committed
-  /// to dropping this instance; write ops refuse from then on.
-  bool retired_ = false;
+  /// Set once, by the eviction sweep after its save committed; write ops
+  /// refuse from then on.
+  std::atomic<bool> evicted_{false};
+  /// Empty until the first save (`Make`), or what `SessionStore::Load`
+  /// replayed. Guarded by the store's save order mutex, not by `mu_`.
+  std::optional<DurableBaseline> durable_;
   std::shared_mutex mu_;
 };
 

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <shared_mutex>
 #include <sstream>
 #include <string_view>
 #include <unordered_set>
@@ -288,8 +289,9 @@ bool SessionStore::Publishes(const SessionRegistry& registry,
 Status SessionStore::Save(ServeSession& session) {
   CP_RETURN_NOT_OK(RequireEnabled());
   std::lock_guard<std::mutex> order(save_order_mu_);
+  std::shared_lock<std::shared_mutex> lock(session.mu_);
   CP_ASSIGN_OR_RETURN(const PendingSave pending, PrepareSave(session));
-  return CommitSave(session.name(), pending);
+  return CommitSave(session, pending);
 }
 
 Result<bool> SessionStore::SavePublished(SessionRegistry& registry,
@@ -297,29 +299,25 @@ Result<bool> SessionStore::SavePublished(SessionRegistry& registry,
                                          ServeSession& session) {
   CP_RETURN_NOT_OK(RequireEnabled());
   std::lock_guard<std::mutex> order(save_order_mu_);
+  std::shared_lock<std::shared_mutex> lock(session.mu_);
   CP_ASSIGN_OR_RETURN(const PendingSave pending, PrepareSave(session));
   std::lock_guard<std::mutex> lifecycle(lifecycle_mu);
   if (!Publishes(registry, session)) return false;
-  CP_RETURN_NOT_OK(CommitSave(session.name(), pending));
+  CP_RETURN_NOT_OK(CommitSave(session, pending));
   return true;
 }
 
 Result<SessionStore::PendingSave> SessionStore::PrepareSave(
-    ServeSession& session) {
+    const ServeSession& session) {
   CP_RETURN_NOT_OK(ValidateSavable(session));
   PendingSave pending;
-  std::optional<DurableState> durable;
-  {
-    std::lock_guard<std::mutex> lock(durable_mu_);
-    const auto it = durable_.find(session.name());
-    if (it != durable_.end()) durable = it->second;
-  }
+  const std::optional<ServeSession::DurableBaseline>& durable =
+      session.durable_;
   if (durable.has_value()) {
     const ServeSession::SnapshotDelta delta =
         session.SerializeDelta(durable->durable_version);
     if (delta.available) {
       pending.version = delta.version;
-      pending.write_seq = delta.write_seq;
       if (delta.records.empty()) {
         pending.noop = true;
         return pending;
@@ -341,28 +339,25 @@ Result<SessionStore::PendingSave> SessionStore::PrepareSave(
       // to a full base write, which folds the log away.
     }
   }
-  pending.full_text =
-      session.SerializeSnapshot(&pending.write_seq, &pending.version);
+  pending.full_text = session.SerializeSnapshot(&pending.version);
   return pending;
 }
 
-Status SessionStore::CommitSave(const std::string& name,
+Status SessionStore::CommitSave(ServeSession& session,
                                 const PendingSave& pending) {
   if (pending.noop) return Status::OK();
+  std::optional<ServeSession::DurableBaseline>& durable = session.durable_;
   if (!pending.delta) {
-    CP_RETURN_NOT_OK(WriteFileAtomic(PathFor(name), pending.full_text));
+    CP_RETURN_NOT_OK(
+        WriteFileAtomic(PathFor(session.name()), pending.full_text));
     // The fresh base supersedes any log on disk. Remove-after-rename is
     // crash-safe: a log that survives next to the newer base only holds
     // records at or below the base's version, which replay skips.
-    bool compacted = false;
-    {
-      std::lock_guard<std::mutex> lock(durable_mu_);
-      const auto it = durable_.find(name);
-      compacted = it != durable_.end() && it->second.log_bytes > 0;
-      durable_[name] = DurableState{pending.version, pending.version, 0};
-    }
+    const bool compacted = durable.has_value() && durable->log_bytes > 0;
+    durable = ServeSession::DurableBaseline{pending.version, pending.version,
+                                            0};
     std::error_code ec;
-    std::filesystem::remove(LogPathFor(name), ec);
+    std::filesystem::remove(LogPathFor(session.name()), ec);
     if (compacted) {
       static MetricCounter& compactions =
           MetricsRegistry::Get().GetCounter("store.compactions");
@@ -378,28 +373,19 @@ Status SessionStore::CommitSave(const std::string& name,
   if (DegradedFastFail(&degraded)) return degraded;
   const uint64_t start_ns = MonotonicNowNs();
   const Result<size_t> appended =
-      AppendCleaningLog(LogPathFor(name), pending.log_lines);
+      AppendCleaningLog(LogPathFor(session.name()), pending.log_lines);
   NoteWriteResult(appended.ok());
   if (!appended.ok()) {
     // Conservative: void the baseline so the next save writes a full
     // base instead of extending a log whose tail just failed.
-    {
-      std::lock_guard<std::mutex> lock(durable_mu_);
-      durable_.erase(name);
-    }
+    durable.reset();
     static MetricCounter& failures =
         MetricsRegistry::Get().GetCounter("store.save_failures_total");
     failures.Add(1);
     return appended.status();
   }
-  {
-    std::lock_guard<std::mutex> lock(durable_mu_);
-    const auto it = durable_.find(name);
-    if (it != durable_.end()) {
-      it->second.durable_version = pending.version;
-      it->second.log_bytes += appended.value();
-    }
-  }
+  durable->durable_version = pending.version;
+  durable->log_bytes += appended.value();
   static MetricCounter& saves =
       MetricsRegistry::Get().GetCounter("store.saves_total");
   static MetricHistogram& save_ns =
@@ -445,11 +431,10 @@ Status SessionStore::WriteFileAtomic(const std::string& path,
                                        ec.message().c_str()));
     }
     // Temp-write + rename so a crash mid-save never leaves a torn snapshot
-    // where a loadable one used to be. The temp name is unique per save:
-    // save_session is a shared-lock read op, so two saves of one session
-    // (or a save racing the eviction sweep) may run concurrently, and a
-    // shared temp path would let one writer truncate the file another is
-    // about to rename into place.
+    // where a loadable one used to be. The temp name is unique per write:
+    // saves through one store serialize, but two stores may share a data
+    // dir, and a shared temp path would let one writer truncate the file
+    // another is about to rename into place.
     static std::atomic<uint64_t> save_seq{0};
     const std::string tmp = StrFormat(
         "%s.%llu.tmp", path.c_str(),
@@ -759,7 +744,8 @@ Result<std::shared_ptr<ServeSession>> SessionStore::Load(
       session->RestoreCleaning(cleaning_snapshot, parsed.dataset));
   // Version-determinism check: the rebuilt session must sit at exactly
   // the version the base+log reached, or the next delta's sequence
-  // numbers would not line up with the log on disk.
+  // numbers would not line up with the log on disk. The session is
+  // unpublished, so nothing else can reach it yet.
   const ServeSession::SnapshotDelta check =
       session->SerializeDelta(parsed.dataset.version());
   if (!check.available || check.version != parsed.dataset.version() ||
@@ -770,12 +756,11 @@ Result<std::shared_ptr<ServeSession>> SessionStore::Load(
         name.c_str(), static_cast<unsigned long long>(check.version),
         static_cast<unsigned long long>(parsed.dataset.version())));
   }
-  // The on-disk state is now known-good: future saves of this session
+  // The on-disk state is now known-good: future saves of this instance
   // extend the log from the replayed version instead of rewriting the
   // base.
-  std::lock_guard<std::mutex> lock(durable_mu_);
-  durable_[name] = DurableState{base_version, parsed.dataset.version(),
-                                scan.durable_bytes};
+  session->durable_ = ServeSession::DurableBaseline{
+      base_version, parsed.dataset.version(), scan.durable_bytes};
   return session;
   }();
   if (result.ok()) {
@@ -795,10 +780,6 @@ Result<std::shared_ptr<ServeSession>> SessionStore::Load(
 
 Status SessionStore::Delete(const std::string& name) {
   CP_RETURN_NOT_OK(RequireEnabled());
-  {
-    std::lock_guard<std::mutex> lock(durable_mu_);
-    durable_.erase(name);
-  }
   std::error_code ec;
   const bool removed = std::filesystem::remove(PathFor(name), ec);
   if (ec) {
@@ -855,15 +836,10 @@ Result<std::vector<std::string>> SessionStore::EnforceCapacity(
   if (options_.max_sessions == 0) return evicted;
   // One sweep at a time, and no save in between: the sweep holds the
   // save order mutex for its whole loop, so no second sweep races it to
-  // retire the same LRU victim and no client save interleaves its own
+  // evict the same LRU victim and no client save interleaves its own
   // delta append with the eviction's on a victim's log. Callers must NOT
   // hold `lifecycle_mu` — the sweep takes it only around each commit.
   std::lock_guard<std::mutex> order(save_order_mu_);
-  // Bounds the retry paths below: under sustained load on every session
-  // the sweep must still terminate. Exhaustion only costs LRU accuracy
-  // (a recently-touched victim gets evicted anyway) — never a write: the
-  // retire handshake below protects those in every interleaving.
-  size_t retries_left = 2 * registry.size() + 4;
   while (registry.size() > options_.max_sessions) {
     if (!enabled()) {
       return Status::Unavailable(StrFormat(
@@ -882,51 +858,20 @@ Result<std::vector<std::string>> SessionStore::EnforceCapacity(
       }
     }
     if (!victim) break;  // raced to empty
-    // The expensive half runs OUTSIDE the lifecycle mutex (the same split
-    // save_session uses): snapshot serialization blocks on the victim's
-    // shared lock (a long clean_run could hold that for a while) and
-    // retirement drains its in-flight writers — neither may stall every
-    // unrelated lifecycle transition.
-    const uint64_t seq_before_save = victim->last_request_seq();
-    CP_ASSIGN_OR_RETURN(PendingSave pending, PrepareSave(*victim));
-    if (victim->last_request_seq() != seq_before_save && retries_left > 0) {
-      --retries_left;
-      // A request landed while the save was being prepared — the session
-      // is no longer LRU; re-pick.
-      continue;
-    }
-    // Retire BEFORE the registry drop so failure can roll back to a fully
-    // live session: the exclusive lock drains in-flight writers; later
-    // writes on this instance answer Unavailable and are never
-    // acknowledged. A write that slipped in between the preparation above
-    // and retirement — acknowledged to its client, so it must not be lost
-    // — triggers a re-prepare against the now-final state.
-    if (victim->Retire(pending.write_seq)) {
-      Result<PendingSave> prepared = PrepareSave(*victim);
-      if (!prepared.ok()) {
-        victim->Unretire();
-        return prepared.status();
-      }
-      pending = std::move(prepared).value();
-    }
+    // Serialization runs OUTSIDE the lifecycle mutex (the same split
+    // save_session uses) but under the victim's shared lock, held until
+    // the drop: readers keep running, writers wait, so the saved state is
+    // the final one and a waiting writer finds the evicted bit.
+    std::shared_lock<std::shared_mutex> lock(victim->mu_);
+    CP_ASSIGN_OR_RETURN(const PendingSave pending, PrepareSave(*victim));
     // Commit under the lifecycle mutex, re-validated against a racing
     // drop (writing our snapshot back would resurrect the name), then
     // drop the live entry.
-    {
-      std::lock_guard<std::mutex> lifecycle(lifecycle_mu);
-      if (!Publishes(registry, *victim)) {
-        victim->Unretire();  // detached instance; the registry moved on
-        if (retries_left == 0) break;
-        --retries_left;
-        continue;
-      }
-      const Status written = CommitSave(victim->name(), pending);
-      if (!written.ok()) {
-        victim->Unretire();
-        return written;
-      }
-      (void)registry.Drop(victim->name());
-    }
+    std::lock_guard<std::mutex> lifecycle(lifecycle_mu);
+    if (!Publishes(registry, *victim)) continue;  // dropped; re-pick
+    CP_RETURN_NOT_OK(CommitSave(*victim, pending));
+    victim->evicted_.store(true, std::memory_order_relaxed);
+    (void)registry.Drop(victim->name());
     evicted.push_back(victim->name());
   }
   return evicted;

@@ -7,7 +7,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "cleaning/cleaning_task.h"
@@ -73,9 +72,14 @@ struct SessionStoreOptions {
 ///
 /// A save is a delta: only the mutations since the last durable version
 /// are fsync-appended to the log — O(changes), independent of dataset
-/// size. When the log would outgrow `log_compact_bytes` (or the store
-/// has no durable baseline for the session), the save writes a fresh
-/// full base atomically and durably, then drops the log (compaction). Rehydration
+/// size. The durable baseline a delta extends lives on the session
+/// instance itself: `Make` starts without one and `Load` returns the
+/// one it replayed. When the log would outgrow `log_compact_bytes` (or
+/// the session has no baseline), the save writes a fresh full base
+/// atomically and durably, then drops the log (compaction). Every save
+/// holds the session's shared lock from serialization to commit, so no
+/// write is acknowledged between what a save captures and what it makes
+/// durable; readers keep running, writers wait. Rehydration
 /// loads the base, replays the log (tolerating a torn final record —
 /// the one append that was never acknowledged), rebuilds the task from
 /// the spec, replays the cleaning order, and fails loudly if either the
@@ -103,7 +107,7 @@ class SessionStore {
   static Status ValidateSavable(const ServeSession& session);
 
   /// Persists `session`: a log append of the mutations since the last
-  /// durable version when the store holds a baseline for it (O(delta)),
+  /// durable version when the session carries a baseline (O(delta)),
   /// else a full atomic base-snapshot write; a no-op when nothing changed.
   /// Unavailable when persistence is disabled; see `ValidateSavable` for
   /// the spec requirement. Saves of all sessions serialize on an internal
@@ -113,16 +117,17 @@ class SessionStore {
   /// `Save` for a session published in `registry` (the save_session op):
   /// serialization runs outside `lifecycle_mu`, the disk commit under it
   /// and only while `registry` still holds this exact instance — a drop
-  /// racing the serialization deleted the name (writing it back would
-  /// resurrect the session), and an eviction superseded this save with
-  /// its own. Returns false, having written nothing, in that case. The
+  /// that landed first deleted the name (writing it back would resurrect
+  /// the session), and an eviction that landed first already saved the
+  /// same state. Returns false, having written nothing, in that case. The
   /// caller must NOT hold `lifecycle_mu`.
   Result<bool> SavePublished(SessionRegistry& registry,
                              std::mutex& lifecycle_mu, ServeSession& session);
 
   /// Loads `name`'s base snapshot, replays its cleaning log (truncating
   /// a torn tail), and rebuilds the session (unpublished — the caller
-  /// inserts it into the registry). NotFound when no base exists.
+  /// inserts it into the registry), carrying the durable baseline it
+  /// replayed. NotFound when no base exists.
   Result<std::shared_ptr<ServeSession>> Load(const std::string& name);
 
   /// Deletes `name`'s base snapshot and cleaning log. NotFound when no
@@ -137,21 +142,20 @@ class SessionStore {
 
   /// The eviction sweep: while `registry` holds more than `max_sessions`
   /// sessions, saves the least-recently-used one (by last-request
-  /// sequence) — an O(delta) log append when a durable baseline exists —
-  /// retires it (in-flight writers drain; a write acknowledged during
-  /// save preparation triggers a re-prepare against the final state, and
-  /// any later write on the detached instance is refused with
-  /// Unavailable — so an acknowledged write is never lost to eviction),
-  /// and drops it. Returns the evicted names (empty when under the limit
-  /// or max_sessions == 0). Fails without evicting when persistence is
-  /// disabled — callers gate admission instead of silently discarding
-  /// state.
+  /// sequence) — an O(delta) log append when it carries a durable
+  /// baseline — then, still under the shared lock the save held, marks
+  /// it evicted and drops it. A write that waited on that lock (or
+  /// reaches the detached instance later) answers Unavailable, so an
+  /// acknowledged write is never lost to eviction. Returns the evicted
+  /// names (empty when under the limit or max_sessions == 0). Fails
+  /// without evicting when persistence is disabled — callers gate
+  /// admission instead of silently discarding state.
   ///
-  /// The caller must NOT hold `lifecycle_mu`: the expensive half
-  /// (serialization, writer drain) runs outside it, and only the commit
-  /// (disk write + registry drop, re-validated against a racing drop)
-  /// takes it. A sweep holds the save order mutex for its whole loop, so
-  /// concurrent sweeps and saves serialize behind it.
+  /// The caller must NOT hold `lifecycle_mu`: serialization runs outside
+  /// it, and only the commit (disk write + registry drop, re-validated
+  /// against a racing drop) takes it. A sweep holds the save order mutex
+  /// for its whole loop, so concurrent sweeps and saves serialize behind
+  /// it.
   Result<std::vector<std::string>> EnforceCapacity(SessionRegistry& registry,
                                                    std::mutex& lifecycle_mu);
 
@@ -167,16 +171,6 @@ class SessionStore {
   bool CheckDegraded();
 
  private:
-  /// What the store knows is on disk for one session: the base
-  /// snapshot's dataset version, the version the base+log together
-  /// reach, and the log's durable byte length. Established by a full
-  /// save or a load; absence forces the next save to write a full base.
-  struct DurableState {
-    uint64_t base_version = 0;
-    uint64_t durable_version = 0;
-    size_t log_bytes = 0;
-  };
-
   /// A prepared save: either a full base snapshot text or the encoded
   /// log records covering (durable_version, current version].
   struct PendingSave {
@@ -185,8 +179,7 @@ class SessionStore {
     std::string full_text;
     std::vector<std::string> log_lines;
     size_t log_bytes_add = 0;
-    uint64_t version = 0;    // dataset version this save makes durable
-    uint64_t write_seq = 0;  // session write_seq the save captured
+    uint64_t version = 0;  // dataset version this save makes durable
   };
 
   /// Unavailable when persistence is disabled.
@@ -198,13 +191,14 @@ class SessionStore {
   static bool Publishes(const SessionRegistry& registry,
                         const ServeSession& session);
 
-  /// Serializes the cheapest sufficient save for `session` (shared-lock
-  /// read; no disk IO). Caller must hold `save_order_mu_`.
-  Result<PendingSave> PrepareSave(ServeSession& session);
+  /// Serializes the cheapest sufficient save for `session` (no disk IO).
+  /// Caller holds `save_order_mu_` and the session's shared lock.
+  Result<PendingSave> PrepareSave(const ServeSession& session);
 
-  /// Commits a prepared save to disk and updates the durable baseline.
-  /// Caller must hold `save_order_mu_`.
-  Status CommitSave(const std::string& name, const PendingSave& pending);
+  /// Commits a prepared save to disk and updates the session's durable
+  /// baseline. Caller holds `save_order_mu_` and the session's shared
+  /// lock, the same hold `PrepareSave` ran under.
+  Status CommitSave(ServeSession& session, const PendingSave& pending);
 
   /// Temp-write + fsync + rename + directory fsync, the single
   /// full-snapshot write path (bases and degraded-mode probes alike): on
@@ -227,12 +221,10 @@ class SessionStore {
   /// Serializes prepare→commit of every save, and whole eviction sweeps:
   /// two concurrent delta saves of one session would both diff against
   /// the same durable version and append duplicate records, and two
-  /// sweeps would race to retire the same victim. Ordering:
-  /// save_order_mu_ → session locks → lifecycle_mu → durable_mu_.
+  /// sweeps would race to evict the same victim. It also guards every
+  /// session's durable baseline. Ordering: save_order_mu_ → session lock
+  /// → lifecycle_mu.
   std::mutex save_order_mu_;
-  /// Guards durable_ (leaf mutex).
-  std::mutex durable_mu_;
-  std::unordered_map<std::string, DurableState> durable_;
   /// Degraded-mode state (see CheckDegraded).
   std::mutex degraded_mu_;
   bool degraded_ = false;

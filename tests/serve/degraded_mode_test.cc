@@ -121,18 +121,23 @@ TEST_F(DegradedModeTest, FailedWritesLeavePreviousSnapshotIntact) {
   const std::string base = ReadFile(path);
   const std::string log = ReadFile(log_path);
   ASSERT_FALSE(log.empty());
-  ASSERT_TRUE(session->CleanStep(1).ok());  // a new base would differ
+  // A step past the baseline, so every save below has something to write.
+  // A failed save leaves the baseline where it was.
+  ASSERT_TRUE(session->CleanStep(1).ok());
 
-  // A store with no durable baseline saves a full base, which would fold
-  // the log away. Every stage of its temp-write + fsync + rename pipeline
-  // fails in turn — store.flush is the fsync. None may corrupt or replace
-  // the committed base, remove the log (a base that may not be on disk
-  // must never supersede it), or leave its temp file behind.
+  // With a zero compaction threshold every save that has something to
+  // write is a full base, which would fold the log away. Every stage of
+  // its temp-write + fsync + rename pipeline fails in turn — store.flush
+  // is the fsync. None may corrupt or replace the committed base, remove
+  // the log (a base that may not be on disk must never supersede it), or
+  // leave its temp file behind. Short backoff so each store is writable
+  // again quickly.
+  SessionStoreOptions full_base = StoreOptions(dir, 30, 120);
+  full_base.log_compact_bytes = 0;
   for (const char* fault :
        {"store.open=once", "store.write=once", "store.flush=once",
         "store.rename=once"}) {
-    // Short backoff so the store is writable again quickly.
-    SessionStore store(StoreOptions(dir, 30, 120));
+    SessionStore store(full_base);
     ASSERT_TRUE(FaultInjection::Configure(fault).ok());
     EXPECT_EQ(store.Save(*session).code(), StatusCode::kIoError) << fault;
     EXPECT_EQ(ReadFile(path), base) << fault;
@@ -152,8 +157,8 @@ TEST_F(DegradedModeTest, FailedWritesLeavePreviousSnapshotIntact) {
   EXPECT_EQ(store.Load("s").value()->Stats().Find("num_cleaned")
                 ->number_value(),
             1);
-  SessionStore fresh(StoreOptions(dir));
-  ASSERT_TRUE(fresh.Save(*session).ok());
+  SessionStore compacting(full_base);
+  ASSERT_TRUE(compacting.Save(*session).ok());
   EXPECT_NE(ReadFile(path), base);
   EXPECT_FALSE(std::filesystem::exists(log_path));
 }

@@ -158,11 +158,16 @@ TEST(ProtocolTest, ErrorPaths) {
                     "\"val_size\":8,\"test_size\":8,\"k\":%d}",
                     FastQ2::kMaxK + 1)),
       "Invalid argument");
-  // Point with the wrong dimension.
-  EXPECT_EQ(RespondErrorCode(&server,
-                             "{\"op\":\"q2\",\"session\":\"s\",\"points\":"
-                             "[[1.0,2.0]]}"),
-            "Invalid argument");
+  // Point with the wrong dimension, on every per-point read op.
+  for (const char* op :
+       {"q2", "predict", "certify", "explain", "why_certified"}) {
+    EXPECT_EQ(RespondErrorCode(
+                  &server, StrFormat("{\"op\":\"%s\",\"session\":\"s\","
+                                     "\"points\":[[1.0,2.0]]}",
+                                     op)),
+              "Invalid argument")
+        << op;
+  }
   // val_index out of range.
   EXPECT_EQ(RespondErrorCode(&server,
                              "{\"op\":\"q2\",\"session\":\"s\","

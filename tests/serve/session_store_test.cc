@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -16,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/fault_injection.h"
 #include "common/string_util.h"
 #include "serve/server.h"
 #include "serve/session_store.h"
@@ -341,55 +343,104 @@ TEST(SessionStoreTest, EvictedSessionRefusesLateWritesOnDetachedInstance) {
   EXPECT_EQ(CleanedIds(retried), CleanedIds(twin_step));
 }
 
-TEST(SessionStoreTest, WriteDuringEvictionSnapshotTriggersDirtyResave) {
-  // Deterministic replay of the sweep's interleaving: snapshot serialized,
-  // then a write lands (acknowledged), then the sweep retires. The dirty
-  // flag (write_seq advanced past the snapshot's) must force a re-save
-  // that contains the write.
-  const std::string dir = FreshDataDir("dirty_resave");
-  SessionStore store(StoreOptions(dir));
-  const JsonValue spec =
-      ParseJson(StrFormat(
-                    "{\"session\":\"d\",\"source\":\"synthetic\",\"dataset\":"
-                    "\"store\",\"train_rows\":%d,\"val_size\":%d,"
-                    "\"test_size\":6,\"seed\":83,\"numeric\":4,"
-                    "\"categorical\":0,\"noise_sigma\":0.3,"
-                    "\"missing_rate\":0.25,\"k\":%d}",
-                    kTrain, kVal, kK))
-          .value();
-  const ServeSessionOptions options =
-      ServeSessionOptionsFromRequest(spec, 1024).value();
-  CleaningTask task = BuildTaskFromSpec(spec).value();
-  const std::shared_ptr<ServeSession> session =
-      ServeSession::Make("d", std::move(task), options, spec).value();
+/// Hits on `site` since the fault rules were last configured.
+uint64_t FaultSiteHits(const std::string& site) {
+  for (const FaultInjection::SiteStats& stats : FaultInjection::Stats()) {
+    if (stats.site == site) return stats.hits;
+  }
+  return 0;
+}
 
-  // Sweep phase 1: prepare + write the save, note the write seq.
-  ASSERT_TRUE(store.Save(*session).ok());
-  const uint64_t snapshot_write_seq = session->write_seq();
-  // The racing write: acknowledged to its client.
-  const JsonValue stepped = session->CleanStep(2).value();
-  const size_t steps_applied = stepped.Find("cleaned")->array().size();
-  ASSERT_GT(steps_applied, 0u);
-  EXPECT_GT(session->write_seq(), snapshot_write_seq);
+TEST(SessionStoreTest, WriteDuringEvictionCommitWaitsThenIsRefused) {
+  // The eviction sweep holds its victim's shared lock from serialization
+  // through the registry drop. A write reaching the victim while the
+  // sweep commits must wait for that lock and then be refused: the saved
+  // state cannot contain it, so acknowledging it would lose it. The retry
+  // rehydrates the session and applies the step there.
+  const std::string dir = FreshDataDir("write_during_commit");
+  Server server = MakeServer(dir, /*max_sessions=*/1);
+  ParseOk(server.HandleLine(CreateRequest("a", 83)));
+  const std::shared_ptr<ServeSession> a = server.registry().Get("a").value();
 
-  // Sweep phase 2: retire. The dirty flag must demand a re-save...
-  ASSERT_TRUE(session->Retire(snapshot_write_seq));
-  ASSERT_TRUE(store.Save(*session).ok());
-  // ...and the re-saved state carries the acknowledged write.
-  const std::shared_ptr<ServeSession> rehydrated = store.Load("d").value();
-  const JsonValue stats = rehydrated->Stats();
-  EXPECT_EQ(static_cast<size_t>(stats.Find("num_cleaned")->number_value()),
-            steps_applied);
+  // "a" was never saved, so the sweep writes a full base; its fsync
+  // stalls, with the victim's shared lock held.
+  ASSERT_TRUE(FaultInjection::Configure("store.flush=sleep:300").ok());
+  std::thread decoy(
+      [&] { ParseOk(server.HandleLine(CreateRequest("decoy", 84))); });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (FaultSiteHits("store.flush") == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const bool in_commit = FaultSiteHits("store.flush") > 0;
+  const auto start = std::chrono::steady_clock::now();
+  const Result<JsonValue> late = a->CleanStep(1);
+  const auto waited = std::chrono::steady_clock::now() - start;
+  decoy.join();
+  FaultInjection::Clear();
+  ASSERT_TRUE(in_commit);
+  EXPECT_GE(waited, std::chrono::milliseconds(100));
+  ASSERT_FALSE(late.ok());
+  EXPECT_EQ(late.status().code(), StatusCode::kUnavailable);
+  EXPECT_NE(late.status().message().find("evicted"), std::string::npos);
+  EXPECT_FALSE(server.registry().Get("a").ok());
 
-  // A clean (no write since the save) retire needs no re-save.
-  ASSERT_TRUE(store.Save(*rehydrated).ok());
-  EXPECT_FALSE(rehydrated->Retire(rehydrated->write_seq()));
-  // Retired instances refuse writes; Unretire (the sweep's rollback when
-  // the re-save fails) restores them.
-  EXPECT_EQ(rehydrated->CleanStep(1).status().code(),
-            StatusCode::kUnavailable);
-  rehydrated->Unretire();
-  EXPECT_TRUE(rehydrated->CleanStep(1).ok());
+  // The retry rehydrates "a" and cleans exactly the tuple a never-
+  // persisted twin cleans first, and that step survives a restart.
+  Server twin = MakeServer("");
+  ParseOk(twin.HandleLine(CreateRequest("a", 83)));
+  const JsonValue twin_step = ParseOk(
+      twin.HandleLine("{\"op\":\"clean_step\",\"session\":\"a\"}"));
+  const JsonValue retried = ParseOk(
+      server.HandleLine("{\"op\":\"clean_step\",\"session\":\"a\"}"));
+  EXPECT_EQ(CleanedIds(retried), CleanedIds(twin_step));
+  ParseOk(server.HandleLine("{\"op\":\"save_session\",\"session\":\"a\"}"));
+  Server reloaded = MakeServer(dir);
+  EXPECT_EQ(Q2Sweep(&reloaded, "a"), Q2Sweep(&twin, "a"));
+}
+
+TEST(SessionStoreTest, DropRacingRehydrationLeavesNoStaleBaseline) {
+  // A drop_session landing while a lazy rehydration replays the cleaning
+  // log must leave nothing of the dropped session behind: a new session
+  // of the same name starts without a durable baseline, so its first
+  // save writes a full base instead of diffing against the dropped
+  // session's (higher) durable version and writing nothing.
+  const std::string dir = FreshDataDir("drop_vs_rehydrate");
+  {
+    Server first = MakeServer(dir);
+    ParseOk(first.HandleLine(CreateRequest("x", 85)));
+    for (int save = 0; save < 2; ++save) {
+      ParseOk(first.HandleLine("{\"op\":\"clean_step\",\"session\":\"x\"}"));
+      ParseOk(
+          first.HandleLine("{\"op\":\"save_session\",\"session\":\"x\"}"));
+    }
+  }
+  ASSERT_TRUE(std::filesystem::exists(dir + "/x.cplog"));
+
+  Server server = MakeServer(dir);
+  ASSERT_TRUE(FaultInjection::Configure("log.replay=sleep:400").ok());
+  std::string queried;
+  std::thread reader([&] {
+    queried = server.HandleLine(
+        "{\"op\":\"q2\",\"session\":\"x\",\"val_indices\":[0]}");
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ParseOk(server.HandleLine("{\"op\":\"drop_session\",\"session\":\"x\"}"));
+  reader.join();
+  FaultInjection::Clear();
+  EXPECT_NE(queried.find("\"Not found\""), std::string::npos) << queried;
+
+  ParseOk(server.HandleLine(CreateRequest("x", 85)));
+  ParseOk(server.HandleLine("{\"op\":\"clean_step\",\"session\":\"x\"}"));
+  const JsonValue saved = ParseOk(
+      server.HandleLine("{\"op\":\"save_session\",\"session\":\"x\"}"));
+  EXPECT_EQ(saved.Find("state")->string_value(), "live");
+  EXPECT_TRUE(std::filesystem::exists(dir + "/x.cpsession"));
+  Server fresh = MakeServer(dir);
+  const JsonValue stats = ParseOk(
+      fresh.HandleLine("{\"op\":\"load_session\",\"session\":\"x\"}"));
+  EXPECT_EQ(static_cast<int>(stats.Find("num_cleaned")->number_value()), 1);
 }
 
 TEST(SessionStoreTest, CorruptAuditVersionFailsLoad) {
