@@ -107,7 +107,7 @@ Result<CertifyResult> CertifyOnDataset(const IncompleteDataset& dataset,
           const int i = dirty[static_cast<size_t>(p)];
           if (q2.MaxSimilarity(i) < floor) return;
           const int m = working.num_candidates(i);
-          // Shared-prefix sweep: bit-identical to (and cheaper than) m
+          // One scan-order sweep: bit-identical to (and cheaper than) m
           // separate EntropyPinned(i, j) calls summed in candidate order.
           const std::vector<double>& pinned = q2.EntropyPinnedSweep(i);
           double sum = 0.0;

@@ -303,9 +303,9 @@ std::vector<double> CleaningSession::FastSelectionScores(
               continue;
             }
             const int m = working_.num_candidates(i);
-            // One sweep shares the boundary-scan prefix across all m
-            // candidates; summing its entries in candidate order keeps the
-            // reduction bit-identical to m separate EntropyPinned calls.
+            // One sweep walks the boundary scan once for all m candidates;
+            // summing its entries in candidate order keeps the reduction
+            // bit-identical to m separate EntropyPinned calls.
             const std::vector<double>& pinned = q2.EntropyPinnedSweep(i);
             double sum = 0.0;
             for (int j = 0; j < m; ++j) {

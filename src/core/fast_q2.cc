@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <type_traits>
 
 #include "common/logging.h"
 #include "core/similarity.h"
@@ -181,24 +182,31 @@ double FastQ2::TopKFloor() const {
   return floor_scratch_[static_cast<size_t>(k_ - 1)];
 }
 
-double FastQ2::RunQuery(int pin_tuple, int pin_cand) {
+template <typename F>
+auto FastQ2::WithWidth(F&& f) {
   // Width-specialized instantiations: the polynomial multiply loops fully
   // unroll for the common K, which matters because they run once per
   // scanned candidate. The dynamic fallback handles every other K.
   switch (width_) {
     case 2:
-      return RunQueryImpl<2>(pin_tuple, pin_cand);  // k = 1
+      return f(std::integral_constant<int, 2>());  // k = 1
     case 3:
-      return RunQueryImpl<3>(pin_tuple, pin_cand);  // k = 2
+      return f(std::integral_constant<int, 3>());  // k = 2
     case 4:
-      return RunQueryImpl<4>(pin_tuple, pin_cand);  // k = 3
+      return f(std::integral_constant<int, 4>());  // k = 3
     case 6:
-      return RunQueryImpl<6>(pin_tuple, pin_cand);  // k = 5
+      return f(std::integral_constant<int, 6>());  // k = 5
     case 8:
-      return RunQueryImpl<8>(pin_tuple, pin_cand);  // k = 7
+      return f(std::integral_constant<int, 8>());  // k = 7
     default:
-      return RunQueryImpl<0>(pin_tuple, pin_cand);
+      return f(std::integral_constant<int, 0>());
   }
+}
+
+double FastQ2::RunQuery(int pin_tuple, int pin_cand) {
+  return WithWidth([&](auto w) {
+    return RunQueryImpl<decltype(w)::value>(pin_tuple, pin_cand);
+  });
 }
 
 template <int W>
@@ -243,31 +251,33 @@ void FastQ2::ProcessEntry(const ScoredCandidate& entry, bool pinned_here,
 }
 
 template <int W>
+void FastQ2::ScanFrom(size_t idx, int pin_tuple, int pin_cand, double* total,
+                      std::vector<int>* log) {
+  const double target = 1.0 - epsilon_;
+  // Two-level loop: materialize a sorted block, then scan it with a tight
+  // inner loop free of the sorting machinery (EnsureSorted would otherwise
+  // pin every member load inside the hot loop).
+  while (idx < scan_.size()) {
+    EnsureSorted(idx);
+    const size_t block_end = sorted_end_;
+    for (; idx < block_end; ++idx) {
+      const ScoredCandidate& entry = scan_[idx];
+      const bool pinned_here = entry.tuple == pin_tuple;
+      if (pinned_here && entry.candidate != pin_cand) continue;
+      if (log != nullptr) log->push_back(entry.tuple);
+      ProcessEntry<W>(entry, pinned_here, total);
+      if (*total >= target) return;
+    }
+  }
+}
+
+template <int W>
 double FastQ2::RunQueryImpl(int pin_tuple, int pin_cand) {
   CP_CHECK(!scan_.empty()) << "call SetTestPoint first";
   std::fill(result_.begin(), result_.end(), 0.0);
   touched_.clear();
   double total = 0.0;
-  const double target = 1.0 - epsilon_;
-  bool done = false;
-
-  // Two-level loop: materialize a sorted block, then scan it with a tight
-  // inner loop free of the sorting machinery (EnsureSorted would otherwise
-  // pin every member load inside the hot loop).
-  for (size_t idx = 0; idx < scan_.size() && !done;) {
-    EnsureSorted(idx);
-    const size_t block_end = sorted_end_;
-    for (; idx < block_end; ++idx) {
-      const ScoredCandidate& entry = scan_[idx];
-      if (pin_tuple == entry.tuple && entry.candidate != pin_cand) continue;
-      ProcessEntry<W>(entry, /*pinned_here=*/pin_tuple == entry.tuple,
-                      &total);
-      if (total >= target) {
-        done = true;
-        break;
-      }
-    }
-  }
+  ScanFrom<W>(0, pin_tuple, pin_cand, &total, nullptr);
 
   if (capture_support_) {
     last_support_.assign(touched_.begin(), touched_.end());
@@ -284,26 +294,7 @@ double FastQ2::RunQueryImpl(int pin_tuple, int pin_cand) {
 }
 
 const std::vector<double>& FastQ2::EntropyPinnedSweep(int i) {
-  switch (width_) {
-    case 2:
-      SweepImpl<2>(i);
-      break;
-    case 3:
-      SweepImpl<3>(i);
-      break;
-    case 4:
-      SweepImpl<4>(i);
-      break;
-    case 6:
-      SweepImpl<6>(i);
-      break;
-    case 8:
-      SweepImpl<8>(i);
-      break;
-    default:
-      SweepImpl<0>(i);
-      break;
-  }
+  WithWidth([&](auto w) { SweepImpl<decltype(w)::value>(i); });
   return sweep_out_;
 }
 
@@ -311,79 +302,49 @@ template <int W>
 void FastQ2::SweepImpl(int pin_tuple) {
   CP_CHECK(!scan_.empty()) << "call SetTestPoint first";
   const int m = dataset_->num_candidates(pin_tuple);
-  sweep_out_.assign(static_cast<size_t>(m), 0.0);
-  if (m == 0) return;
+  // Entropies are >= 0, so -1 marks a candidate the walk has not reached.
+  sweep_out_.assign(static_cast<size_t>(m), -1.0);
   std::fill(result_.begin(), result_.end(), 0.0);
   touched_.clear();
   double total = 0.0;
   const double target = 1.0 - epsilon_;
+  int unreached = m;
   bool done = false;
-  bool at_pin = false;
-  size_t idx = 0;
 
-  // Shared prefix: every entry strictly more similar than tuple i's best
-  // candidate. No tuple-i entry exists here, so a pinned run processes the
-  // prefix exactly as the unpinned scan does — once for all candidates.
-  while (idx < scan_.size() && !done && !at_pin) {
+  // One walk in scan order over every other tuple's entries, with tuple i's
+  // leaf left pristine. The pinned run for candidate j processes exactly the
+  // walk's entries before j's position, in the same order, so at each
+  // tuple-i entry the walk is that run's checkpoint: run j's suffix from
+  // there, roll back, and walk on.
+  for (size_t idx = 0; unreached > 0 && !done;) {
     EnsureSorted(idx);
     const size_t block_end = sorted_end_;
-    for (; idx < block_end; ++idx) {
+    for (; idx < block_end && unreached > 0; ++idx) {
       const ScoredCandidate& entry = scan_[idx];
-      if (entry.tuple == pin_tuple) {
-        at_pin = true;
-        break;
-      }
-      ProcessEntry<W>(entry, /*pinned_here=*/false, &total);
-      if (total >= target) {
-        done = true;
-        break;
-      }
-    }
-  }
-
-  if (!at_pin) {
-    // The scan terminated (mass target or exhaustion) before tuple i's
-    // first entry: every pinned run stops at the same point with the same
-    // masses, so all candidates share one entropy.
-    const double entropy = ResultEntropy(total);
-    std::fill(sweep_out_.begin(), sweep_out_.end(), entropy);
-  } else {
-    // Checkpoint the engine at the prefix boundary, then replay only the
-    // suffix per candidate and roll back in between. The rollback restores
-    // every leaf to bits identical to the checkpoint (same above/m
-    // division), and a segment tree node recomputed from bit-identical
-    // children reproduces its coefficients exactly — the same argument
-    // that makes the end-of-query restore in RunQueryImpl sound.
-    sweep_result_.assign(result_.begin(), result_.end());
-    const double prefix_total = total;
-    const size_t prefix_touched = touched_.size();
-    const size_t prefix_idx = idx;
-    for (int j = 0; j < m; ++j) {
-      sweep_log_.clear();
-      double run_total = prefix_total;
-      bool run_done = false;
-      size_t run_idx = prefix_idx;
-      while (run_idx < scan_.size() && !run_done) {
-        EnsureSorted(run_idx);
-        const size_t block_end = sorted_end_;
-        for (; run_idx < block_end; ++run_idx) {
-          const ScoredCandidate& entry = scan_[run_idx];
-          if (entry.tuple == pin_tuple && entry.candidate != j) continue;
-          sweep_log_.push_back(entry.tuple);
-          ProcessEntry<W>(entry, /*pinned_here=*/entry.tuple == pin_tuple,
-                          &run_total);
-          if (run_total >= target) {
-            run_done = true;
-            break;
-          }
+      if (entry.tuple != pin_tuple) {
+        ProcessEntry<W>(entry, /*pinned_here=*/false, &total);
+        if (total >= target) {
+          done = true;
+          break;
         }
+        continue;
       }
+      --unreached;
+      const int j = entry.candidate;
+      sweep_result_.assign(result_.begin(), result_.end());
+      const size_t walk_touched = touched_.size();
+      double run_total = total;
+      sweep_log_.clear();
+      ScanFrom<W>(idx, pin_tuple, j, &run_total, &sweep_log_);
       sweep_out_[static_cast<size_t>(j)] = ResultEntropy(run_total);
 
       // Roll back to the checkpoint: reverse the above_ increments, then
-      // restore each distinct suffix-touched leaf to its checkpoint
-      // fraction (above == 0 gives the pristine (1, 0) leaf, which also
-      // covers the pinned tuple itself).
+      // restore each distinct run-touched leaf to its checkpoint fraction
+      // (above == 0 gives the pristine (1, 0) leaf, which also covers the
+      // pinned tuple itself). The restored leaf has the checkpoint's bits
+      // (same above/m division), and a segment tree node recomputed from
+      // bit-identical children reproduces its coefficients exactly — the
+      // argument that makes the end-of-query restore in RunQueryImpl sound.
       for (size_t t = sweep_log_.size(); t-- > 0;) {
         --above_[static_cast<size_t>(sweep_log_[t])];
       }
@@ -400,13 +361,21 @@ void FastQ2::SweepImpl(int pin_tuple) {
       for (const int tuple : sweep_log_) {
         sweep_mark_[static_cast<size_t>(tuple)] = 0;
       }
-      touched_.resize(prefix_touched);
+      touched_.resize(walk_touched);
       std::copy(sweep_result_.begin(), sweep_result_.end(), result_.begin());
-      total = prefix_total;
     }
   }
 
-  // Standard end-of-query restore of the (prefix) touched leaves.
+  // The walk reached the mass target before these candidates' entries:
+  // each of their pinned runs stops at the same entry with the same masses.
+  if (unreached > 0) {
+    const double entropy = ResultEntropy(total);
+    for (double& e : sweep_out_) {
+      if (e < 0.0) e = entropy;
+    }
+  }
+
+  // Standard end-of-query restore of the walk's touched leaves.
   for (int t : touched_) {
     SetLeaf<W>(label_of_[static_cast<size_t>(t)],
                slot_of_[static_cast<size_t>(t)], 1.0, 0.0);

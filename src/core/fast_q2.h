@@ -73,11 +73,12 @@ class FastQ2 {
   double EntropyPinned(int i, int j) { return ResultEntropy(RunQuery(i, j)); }
 
   /// `EntropyPinned(i, j)` for every candidate j of tuple `i` in one sweep,
-  /// bit-identical to m separate calls. The scan prefix strictly above
-  /// tuple i's first entry in similarity order contains no tuple-i
-  /// candidates, so every pinned run processes it identically: the sweep
-  /// pays it once, checkpoints the engine there, and replays only the
-  /// suffix per candidate (rolling the trees back between candidates).
+  /// bit-identical to m separate calls. The pinned run for candidate j
+  /// processes every other tuple's entries above j's position exactly as
+  /// the unpinned scan does, so the sweep walks the scan once without tuple
+  /// i and, at each of tuple i's entries, checkpoints the engine, replays
+  /// that candidate's run from its own position, and rolls the trees back
+  /// before walking on.
   /// Returns a reference to an internal buffer of `num_candidates(i)`
   /// entries, valid until the next query on this engine.
   const std::vector<double>& EntropyPinnedSweep(int i);
@@ -106,15 +107,25 @@ class FastQ2 {
   const std::vector<int>& last_support() const { return last_support_; }
 
  private:
+  /// Calls `f(std::integral_constant<int, W>())` with the width-specialized
+  /// W for width_ (the polynomial loops fully unroll for the common K), or
+  /// W = 0 for the dynamic fallback.
+  template <typename F>
+  auto WithWidth(F&& f);
   /// Runs the scan; fills result_ with per-label world masses and returns
-  /// the total collected mass. Dispatches to a width-specialized
-  /// instantiation (the polynomial loops fully unroll for the common K).
+  /// the total collected mass.
   double RunQuery(int pin_tuple, int pin_cand);
   /// W is the compile-time polynomial width (k + 1), or 0 for the dynamic
   /// fallback reading width_.
   template <int W>
   double RunQueryImpl(int pin_tuple, int pin_cand);
-  /// The per-entry scan body shared by RunQueryImpl and SweepImpl: tallies
+  /// Scans from entry `idx` until `*total` reaches 1 - epsilon, skipping
+  /// tuple pin_tuple's candidates other than pin_cand; appends each
+  /// processed entry's tuple to `log` when it is non-null.
+  template <int W>
+  void ScanFrom(size_t idx, int pin_tuple, int pin_cand, double* total,
+                std::vector<int>* log);
+  /// The per-entry scan body shared by ScanFrom and SweepImpl: tallies
   /// the boundary supports into result_ / `total` and moves the entry's
   /// candidate into the "above" region.
   template <int W>
@@ -167,9 +178,9 @@ class FastQ2 {
   bool capture_support_ = false;
   std::vector<int> last_support_;
 
-  // EntropyPinnedSweep scratch: per-candidate entropies, the suffix replay
-  // log (one tuple id per processed entry), dedup marks for the leaf
-  // rollback, and the checkpointed per-label masses.
+  // EntropyPinnedSweep scratch: per-candidate entropies, the candidate-run
+  // log (one tuple id per entry processed past the walk's checkpoint), dedup
+  // marks for the leaf rollback, and the checkpointed per-label masses.
   std::vector<double> sweep_out_;
   std::vector<int> sweep_log_;
   std::vector<uint8_t> sweep_mark_;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/stats.h"
@@ -136,6 +137,83 @@ INSTANTIATE_TEST_SUITE_P(Sweep, FastQ2Test,
                          ::testing::Combine(::testing::Range(1, 9),
                                             ::testing::Values(1, 3, 5),
                                             ::testing::Values(2, 3)));
+
+class FastQ2SweepShapeTest
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(FastQ2SweepShapeTest, SpreadCandidatesBitMatchPerCandidateCalls) {
+  // The sweep walks the scan once and replays each candidate from its own
+  // entry. These shapes reach every branch of that walk: a tuple's
+  // candidates spread through the scan with other tuples' entries between
+  // them (40 examples, up to 8 candidates), single-candidate tuples, mass
+  // targets the walk reaches between two of the pinned tuple's entries
+  // (epsilon up to 0.1), and k = 16, whose width runs the dynamic fallback.
+  const int seed = std::get<0>(GetParam());
+  const int k = std::get<1>(GetParam());
+
+  RandomDatasetSpec spec;
+  spec.num_examples = 40;
+  spec.max_candidates = 8;
+  spec.num_labels = 2 + seed % 2;
+  spec.tie_prob = seed > 2 ? 0.3 : 0.0;
+  spec.seed = static_cast<uint64_t>(100 + seed);
+  IncompleteDataset dataset = MakeRandomDataset(spec);
+  int singles = 0;
+  for (int i = 0; i < dataset.num_examples(); ++i) {
+    if (dataset.num_candidates(i) == 1) ++singles;
+  }
+  ASSERT_GT(singles, 0) << "no single-candidate tuple to pin";
+  const std::vector<double> t = MakeRandomTestPoint(spec.dim, spec.seed);
+  NegativeEuclideanKernel kernel;
+
+  // Tuples whose pinned runs stop before some of their candidates' entries
+  // but not before others: the walk met the mass target between two of
+  // the tuple's entries. A run's support holds tuple i iff it reached the
+  // pinned candidate's entry.
+  int split_tuples = 0;
+  for (const double epsilon : {0.0, 1e-9, 1e-3, 0.1}) {
+    FastQ2 sweep_engine(&dataset, k, epsilon);
+    FastQ2 ref_engine(&dataset, k, epsilon);
+    ref_engine.EnableSupportCapture(true);
+    sweep_engine.SetTestPoint(t, kernel);
+    ref_engine.SetTestPoint(t, kernel);
+    for (int i = 0; i < dataset.num_examples(); ++i) {
+      const int m = dataset.num_candidates(i);
+      const std::vector<double> got = sweep_engine.EntropyPinnedSweep(i);
+      ASSERT_EQ(static_cast<int>(got.size()), m);
+      int reached = 0;
+      for (int j = 0; j < m; ++j) {
+        const double want = ref_engine.EntropyPinned(i, j);
+        EXPECT_EQ(Bits(got[static_cast<size_t>(j)]), Bits(want))
+            << "epsilon " << epsilon << " pin (" << i << "," << j << ")";
+        const std::vector<int>& support = ref_engine.last_support();
+        if (std::binary_search(support.begin(), support.end(), i)) ++reached;
+      }
+      if (reached > 0 && reached < m) ++split_tuples;
+    }
+    // State restoration: after every sweep the engine answers unpinned,
+    // pinned, and repeated sweep queries with a fresh engine's bits.
+    EXPECT_EQ(Bits(sweep_engine.EntropyUnpinned()),
+              Bits(ref_engine.EntropyUnpinned()))
+        << "epsilon " << epsilon;
+    for (const int i : {0, 17, 39}) {
+      const std::vector<double> again = sweep_engine.EntropyPinnedSweep(i);
+      for (int j = 0; j < dataset.num_candidates(i); ++j) {
+        const uint64_t want = Bits(ref_engine.EntropyPinned(i, j));
+        EXPECT_EQ(Bits(again[static_cast<size_t>(j)]), want)
+            << "epsilon " << epsilon << " pin (" << i << "," << j << ")";
+        EXPECT_EQ(Bits(sweep_engine.EntropyPinned(i, j)), want)
+            << "epsilon " << epsilon << " pin (" << i << "," << j << ")";
+      }
+    }
+  }
+  EXPECT_GT(split_tuples, 0)
+      << "no pinned tuple straddles the walk's mass cutoff";
+}
+
+INSTANTIATE_TEST_SUITE_P(SweepShapes, FastQ2SweepShapeTest,
+                         ::testing::Combine(::testing::Range(1, 5),
+                                            ::testing::Values(1, 3, 16)));
 
 TEST(FastQ2PruningTest, TopKFloorSoundness) {
   // Tuples whose max similarity sits below the top-K floor cannot change

@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/fault_injection.h"
 #include "common/string_util.h"
 #include "serve/server.h"
 #include "tests/serve/serve_test_util.h"
@@ -37,6 +38,22 @@ std::string CreateRequest(const std::string& name, int train_rows) {
       "\"k\":3}",
       name.c_str(), train_rows);
 }
+
+/// Holds the request workers: while in scope, every request the transport
+/// executes first stalls `ms` milliseconds at the serve.exec fault site, so
+/// a request sent behind it is still queued (or refused admission) however
+/// fast the request ahead of it computes. Clears the rule on scope exit, so
+/// no rule leaks into a later test of the same process.
+class StallExec {
+ public:
+  explicit StallExec(int ms) {
+    EXPECT_TRUE(
+        FaultInjection::Configure(StrFormat("serve.exec=sleep:%d", ms)).ok());
+  }
+  ~StallExec() { FaultInjection::Clear(); }
+  StallExec(const StallExec&) = delete;
+  StallExec& operator=(const StallExec&) = delete;
+};
 
 /// Starts `server` on an ephemeral port on a background thread and waits
 /// for the listener. Caller joins via the returned thread after Stop() or
@@ -200,7 +217,7 @@ TEST(TransportTest, ThousandIdleConnectionsStayResponsive) {
 }
 
 TEST(TransportTest, IdenticalQ2sCoalesceUnderLoad) {
-  // Two identical q2 requests (ids aside) waiting behind a long write
+  // Two identical q2 requests (ids aside) waiting behind a stalled write
   // collapse into one evaluation; each waiter still gets the canonical
   // response bytes under its own id.
   ServerOptions options;
@@ -215,8 +232,9 @@ TEST(TransportTest, IdenticalQ2sCoalesceUnderLoad) {
   ParseOk(creator.Issue(CreateRequest("co", 120)));
   ParseOk(twin.HandleLine(CreateRequest("co", 120)));
 
-  // Park a long cleaning run on the single worker, give it a moment to
+  // Park a stalled cleaning run on the single worker, give it a moment to
   // start, then land two identical q2 points while it holds the worker.
+  auto stall = std::make_unique<StallExec>(300);
   LineClient writer(port);
   LineClient reader_a(port);
   LineClient reader_b(port);
@@ -236,7 +254,9 @@ TEST(TransportTest, IdenticalQ2sCoalesceUnderLoad) {
 
   const std::string got_a = reader_a.ReadLine();
   const std::string got_b = reader_b.ReadLine();
-  EXPECT_EQ(writer.ReadLine(), twin.HandleLine(clean));
+  const std::string got_clean = writer.ReadLine();
+  stall.reset();
+  EXPECT_EQ(got_clean, twin.HandleLine(clean));
   EXPECT_EQ(got_a, twin.HandleLine(q2_a));
   EXPECT_EQ(got_b, twin.HandleLine(q2_b));
 
@@ -252,7 +272,7 @@ TEST(TransportTest, IdenticalQ2sCoalesceUnderLoad) {
 
 TEST(TransportTest, InflightLimitRejectsWithStructuredError) {
   // Admission control bounds in-flight REQUESTS, not connections: with
-  // the single permit held by a long cleaning run, a new request answers
+  // the single permit held by a stalled cleaning run, a new request answers
   // Unavailable immediately — carrying its own id — and succeeds on
   // retry once the permit frees up.
   ServerOptions options;
@@ -266,6 +286,7 @@ TEST(TransportTest, InflightLimitRejectsWithStructuredError) {
   ASSERT_TRUE(creator.connected());
   ParseOk(creator.Issue(CreateRequest("adm", 120)));
 
+  auto stall = std::make_unique<StallExec>(300);
   LineClient writer(port);
   LineClient reader(port);
   ASSERT_TRUE(writer.connected());
@@ -276,10 +297,12 @@ TEST(TransportTest, InflightLimitRejectsWithStructuredError) {
   const std::string q2 =
       "{\"op\":\"q2\",\"session\":\"adm\",\"val_indices\":[0],\"id\":5}";
   const std::string rejection = reader.Issue(q2);
+  stall.reset();
   auto parsed = ParseJson(rejection);
   ASSERT_TRUE(parsed.ok()) << rejection;
   EXPECT_EQ(parsed.value().Find("id")->number_value(), 5) << rejection;
   EXPECT_FALSE(parsed.value().Find("ok")->bool_value()) << rejection;
+  ASSERT_NE(parsed.value().Find("error"), nullptr) << rejection;
   EXPECT_EQ(parsed.value().Find("error")->Find("code")->string_value(),
             "Unavailable")
       << rejection;
@@ -341,7 +364,9 @@ TEST(TransportTest, EveryConnectionCounterIsItsRegistryInstrument) {
   ASSERT_TRUE(creator.connected());
   ParseOk(creator.Issue(CreateRequest("one", 120)));
 
-  // A rejected request: the single in-flight permit is held by a long run.
+  // A rejected request: the single in-flight permit is held by a stalled
+  // run.
+  auto stall = std::make_unique<StallExec>(300);
   LineClient writer(port);
   LineClient reader(port);
   ASSERT_TRUE(writer.connected());
@@ -350,6 +375,7 @@ TEST(TransportTest, EveryConnectionCounterIsItsRegistryInstrument) {
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   const std::string rejection =
       reader.Issue("{\"op\":\"q2\",\"session\":\"one\",\"val_indices\":[0]}");
+  stall.reset();
   EXPECT_NE(rejection.find("Unavailable"), std::string::npos) << rejection;
   ParseOk(writer.ReadLine());
 
