@@ -6,6 +6,7 @@
 
 #include "common/fault_injection.h"
 #include "common/logging.h"
+#include "common/metrics.h"
 #include "common/stats.h"
 #include "common/string_util.h"
 #include "core/certain_predictor.h"
@@ -15,6 +16,37 @@
 #include "knn/knn_classifier.h"
 
 namespace cpclean {
+namespace {
+
+// Fills one selection row for the validation point bound to `q2`: for each
+// dirty[p], the expected entropy of the point's Q2 prediction after
+// cleaning it (Equation 4, uniform over its candidates), passed on as
+// emit(p, entropy, pruned). A `pruned` tuple can never enter the point's
+// top-K in any world, so pinning it leaves the distribution unchanged.
+template <typename Emit>
+void FillSelectionRow(FastQ2& q2, const IncompleteDataset& working,
+                      const std::vector<int>& dirty, const Emit& emit) {
+  const double floor = q2.TopKFloor();
+  double current_entropy = -1.0;  // computed lazily
+  for (size_t p = 0; p < dirty.size(); ++p) {
+    const int i = dirty[p];
+    if (q2.MaxSimilarity(i) < floor) {
+      if (current_entropy < 0.0) current_entropy = q2.EntropyUnpinned();
+      emit(p, current_entropy, true);
+      continue;
+    }
+    const int m = working.num_candidates(i);
+    // One sweep walks the boundary scan once for all m candidates; summing
+    // its entries in candidate order keeps the reduction bit-identical to m
+    // separate EntropyPinned calls.
+    const std::vector<double>& pinned = q2.EntropyPinnedSweep(i);
+    double sum = 0.0;
+    for (int j = 0; j < m; ++j) sum += pinned[static_cast<size_t>(j)];
+    emit(p, sum / static_cast<double>(m), false);
+  }
+}
+
+}  // namespace
 
 CleaningSession::CleaningSession(const CleaningTask* task,
                                  const SimilarityKernel* kernel,
@@ -77,6 +109,7 @@ void CleaningSession::Reset() {
   cleaned_order_.clear();
   audit_.clear();
   last_newly_certain_.clear();
+  cache_ = SelectionCache{};
   // `working_ = task copy` above wiped any journal/file backing the
   // serving layer configured; re-establish it.
   ApplyWorkingStorage();
@@ -221,6 +254,7 @@ double CleaningSession::MeanValEntropy() const {
 }
 
 double CleaningSession::ExpectedEntropyAfterCleaning(int i) {
+  if (task_->val_x.empty()) return 0.0;  // as MeanValEntropy
   const CertainPredictor predictor(kernel_, options_.k);
   const std::vector<std::vector<double>> saved =
       working_.example(i).candidates;
@@ -242,8 +276,12 @@ double CleaningSession::ExpectedEntropyAfterCleaning(int i) {
   return expected / static_cast<double>(m);
 }
 
-std::vector<double> CleaningSession::FastSelectionScores(
-    const std::vector<int>& dirty) {
+std::vector<double> CleaningSession::SelectionScores(
+    const std::vector<int>& dirty, bool use_cache) {
+  static MetricCounter& rows_reused = MetricsRegistry::Get().GetCounter(
+      "cleaning.selection_rows_reused_total");
+  static MetricCounter& rows_computed = MetricsRegistry::Get().GetCounter(
+      "cleaning.selection_rows_computed_total");
   // First compute-layer fault site. Unlike the I/O sites this one throws —
   // the compute path has no Status plumbing — so failure rules are for
   // library-level tests that catch; under a live server use sleep rules
@@ -260,64 +298,132 @@ std::vector<double> CleaningSession::FastSelectionScores(
   if (active.empty() || dirty.empty()) return score;
 
   // One FastQ2 engine per worker (trees and scan are query-local state);
-  // each active validation point fills its own contribution row, and the
-  // reduction replays additions in ascending validation order — so score
-  // is bit-identical for every num_threads, including the serial pre-pool
-  // behavior at num_threads = 1. Validation points are streamed in ordered
-  // blocks sized so the contribution buffer stays within
-  // options_.max_contrib_bytes — O(block x |dirty|) memory instead of
-  // O(|active_val| x |dirty|). Per dirty example the additions form a left
-  // fold in ascending validation order whatever the block partition, so the
-  // bound — like the thread count — never changes a score bit.
-  const size_t row_bytes = dirty.size() * sizeof(double);
-  const size_t block =
-      std::min(active.size(),
-               std::max<size_t>(1, options_.max_contrib_bytes / row_bytes));
+  // each row is filled by one worker, and the reduction below replays the
+  // additions in ascending validation order — so score is bit-identical
+  // for every num_threads, including the serial pre-pool behavior at
+  // num_threads = 1, and for every split between cached and streamed rows.
   std::vector<std::unique_ptr<FastQ2>> engines(
       static_cast<size_t>(pool_->num_threads()));
-  std::vector<double> contrib(block * dirty.size());
-  for (size_t base = 0; base < active.size(); base += block) {
-    const size_t count = std::min(block, active.size() - base);
-    pool_->ParallelFor(
-        static_cast<int64_t>(count), [&](int64_t b, int worker) {
-          auto& engine = engines[static_cast<size_t>(worker)];
-          if (!engine) {
-            engine = std::make_unique<FastQ2>(&working_, options_.k,
-                                              options_.fast_epsilon);
-          }
-          FastQ2& q2 = *engine;
-          const int v = active[base + static_cast<size_t>(b)];
-          double* row = contrib.data() + static_cast<size_t>(b) * dirty.size();
-          q2.SetTestPoint(task_->val_x[static_cast<size_t>(v)], *kernel_);
-          const double floor = q2.TopKFloor();
-          double current_entropy = -1.0;  // computed lazily
-          for (size_t p = 0; p < dirty.size(); ++p) {
-            const int i = dirty[p];
-            if (q2.MaxSimilarity(i) < floor) {
-              // Tuple i can never enter this point's top-K in any world, so
-              // pinning it leaves the label distribution unchanged.
-              if (current_entropy < 0.0) {
-                current_entropy = q2.EntropyUnpinned();
-              }
-              row[p] = current_entropy;
-              continue;
-            }
-            const int m = working_.num_candidates(i);
-            // One sweep walks the boundary scan once for all m candidates;
-            // summing its entries in candidate order keeps the reduction
-            // bit-identical to m separate EntropyPinned calls.
-            const std::vector<double>& pinned = q2.EntropyPinnedSweep(i);
-            double sum = 0.0;
-            for (int j = 0; j < m; ++j) {
-              sum += pinned[static_cast<size_t>(j)];
-            }
-            row[p] = sum / static_cast<double>(m);
-          }
-        });
-    for (size_t b = 0; b < count; ++b) {
-      const double* row = contrib.data() + b * dirty.size();
-      for (size_t p = 0; p < dirty.size(); ++p) score[p] += row[p];
+  const auto fill = [&](int v, int worker, const auto& emit) {
+    auto& engine = engines[static_cast<size_t>(worker)];
+    if (!engine) {
+      engine = std::make_unique<FastQ2>(&working_, options_.k,
+                                        options_.fast_epsilon);
     }
+    engine->SetTestPoint(task_->val_x[static_cast<size_t>(v)], *kernel_);
+    FillSelectionRow(*engine, working_, dirty, emit);
+  };
+
+  std::vector<int> columns;  // dirty position -> cache column
+  std::vector<int> refill;   // cached rows recomputed by this selection
+  size_t reused = 0;
+  const auto row_start = [this](int v) {
+    return static_cast<size_t>(cache_.slot[static_cast<size_t>(v)]) *
+           cache_.width;
+  };
+  if (use_cache) {
+    const size_t moved = cleaned_order_.size() - cache_.cleaned;
+    const bool reusable = cache_.stamped && moved <= 1 &&
+                          working_.version() - cache_.version == moved;
+    if (!reusable) {
+      // Columns are today's dirty set, which only shrinks until the next
+      // Reset. Rows go to the first active points that fit the byte bound;
+      // a point certified later keeps its row unread.
+      cache_ = SelectionCache{};
+      cache_.column.assign(static_cast<size_t>(working_.num_examples()), -1);
+      for (size_t p = 0; p < dirty.size(); ++p) {
+        cache_.column[static_cast<size_t>(dirty[p])] = static_cast<int>(p);
+      }
+      cache_.width = dirty.size();
+      const size_t capacity = std::min(
+          active.size(), options_.max_contrib_bytes /
+                             (cache_.width * (sizeof(double) + 1)));
+      cache_.rows.assign(capacity * cache_.width, 0.0);
+      cache_.pruned.assign(capacity * cache_.width, 0);
+      cache_.slot.assign(task_->val_x.size(), -1);
+      for (size_t s = 0; s < capacity; ++s) {
+        cache_.slot[static_cast<size_t>(active[s])] = static_cast<int>(s);
+      }
+    }
+    cache_.stamped = false;  // until this selection completes
+    // The column of the example cleaned since the stamp, if any.
+    int changed = -1;
+    if (reusable && moved == 1) {
+      changed = cache_.column[static_cast<size_t>(cleaned_order_.back())];
+      CP_CHECK_GE(changed, 0);
+    }
+    for (const int v : active) {
+      if (cache_.slot[static_cast<size_t>(v)] < 0) continue;  // streamed
+      if (!reusable ||
+          (changed >= 0 &&
+           !cache_.pruned[row_start(v) + static_cast<size_t>(changed)])) {
+        refill.push_back(v);
+      } else {
+        ++reused;
+      }
+    }
+    columns.resize(dirty.size());
+    for (size_t p = 0; p < dirty.size(); ++p) {
+      columns[p] = cache_.column[static_cast<size_t>(dirty[p])];
+    }
+    pool_->ParallelFor(
+        static_cast<int64_t>(refill.size()), [&](int64_t r, int worker) {
+          const int v = refill[static_cast<size_t>(r)];
+          double* row = cache_.rows.data() + row_start(v);
+          uint8_t* pruned = cache_.pruned.data() + row_start(v);
+          fill(v, worker, [&](size_t p, double entropy, bool below_floor) {
+            row[columns[p]] = entropy;
+            pruned[columns[p]] = below_floor ? 1 : 0;
+          });
+        });
+  }
+
+  // Points without a cached row are filled in ordered blocks as the
+  // reduction reaches them, so their buffer stays within what the cache
+  // leaves of options_.max_contrib_bytes (at least one row per worker).
+  std::vector<int> streamed;
+  for (const int v : active) {
+    if (!use_cache || cache_.slot[static_cast<size_t>(v)] < 0) {
+      streamed.push_back(v);
+    }
+  }
+  const size_t cached_bytes =
+      use_cache ? cache_.rows.size() * (sizeof(double) + 1) : 0;
+  const size_t spare = options_.max_contrib_bytes - cached_bytes;
+  const size_t block = std::min(
+      streamed.size(),
+      std::max(static_cast<size_t>(pool_->num_threads()),
+               spare / (dirty.size() * sizeof(double))));
+  std::vector<double> buffer(block * dirty.size());
+  size_t next = 0;  // streamed rows reduced so far
+  for (const int v : active) {
+    if (use_cache && cache_.slot[static_cast<size_t>(v)] >= 0) {
+      const double* row = cache_.rows.data() + row_start(v);
+      for (size_t p = 0; p < dirty.size(); ++p) {
+        score[p] += row[columns[p]];
+      }
+      continue;
+    }
+    if (next % block == 0) {
+      const size_t first = next;
+      pool_->ParallelFor(
+          static_cast<int64_t>(std::min(block, streamed.size() - first)),
+          [&](int64_t b, int worker) {
+            double* row = buffer.data() + static_cast<size_t>(b) * dirty.size();
+            fill(streamed[first + static_cast<size_t>(b)], worker,
+                 [row](size_t p, double entropy, bool) { row[p] = entropy; });
+          });
+    }
+    const double* row = buffer.data() + (next % block) * dirty.size();
+    for (size_t p = 0; p < dirty.size(); ++p) score[p] += row[p];
+    ++next;
+  }
+  if (use_cache) {
+    cache_.stamped = true;
+    cache_.version = working_.version();
+    cache_.cleaned = cleaned_order_.size();
+    rows_reused.Add(reused);
+    rows_computed.Add(refill.size() + streamed.size());
   }
   return score;
 }
@@ -341,7 +447,8 @@ int CleaningSession::SelectGreedyPos() {
   int chosen_pos = 0;
   double best = std::numeric_limits<double>::infinity();
   if (options_.use_fast_selection) {
-    const std::vector<double> score = FastSelectionScores(dirty_);
+    const std::vector<double> score =
+        SelectionScores(dirty_, /*use_cache=*/true);
     for (size_t p = 0; p < score.size(); ++p) {
       if (score[p] < best ||
           (score[p] == best &&

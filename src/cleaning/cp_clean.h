@@ -56,14 +56,16 @@ struct CpCleanOptions {
   /// fill disjoint per-point slots and the floating-point reductions replay
   /// in validation order on one thread.
   int num_threads = 0;
-  /// Upper bound in bytes on the streamed FastSelectionScores contribution
-  /// buffer (one double per active-validation-point x dirty-example pair).
-  /// Validation points are processed in ordered blocks of
-  /// `max_contrib_bytes / (8 * |dirty|)` (floored at one row), so peak
-  /// memory is O(block x |dirty|) instead of O(|active_val| x |dirty|).
-  /// The per-example reduction is a left fold in ascending validation order
-  /// regardless of the block partition, so every value — like every thread
-  /// count — yields bit-identical scores.
+  /// Upper bound in bytes on the greedy selection rows kept across steps
+  /// (one double plus one prune flag per active-validation-point x
+  /// dirty-example pair). A step recomputes only the kept rows the last
+  /// cleaned example could reach and reuses the rest. Rows past the bound,
+  /// and every row of FastSelectionScores (which keeps none), are
+  /// recomputed each time, streamed in ordered blocks that fit what is left
+  /// of the bound (at least one row per worker). Every reduction is a left
+  /// fold in ascending validation order whatever rows are kept or streamed,
+  /// so every value — like every thread count — yields bit-identical
+  /// scores.
   size_t max_contrib_bytes = size_t{2} << 20;
 };
 
@@ -141,9 +143,13 @@ class CleaningSession {
   CleaningRunResult RunRandomClean(Rng* rng);
 
   /// Expected-entropy scores for every example in `dirty`, via FastQ2,
-  /// parallelized over validation points. Public for the determinism tests
-  /// and benchmarks; RunCpClean is the intended entry point.
-  std::vector<double> FastSelectionScores(const std::vector<int>& dirty);
+  /// parallelized over validation points, computed from scratch (the greedy
+  /// steps' cached rows are neither read nor written). Public for the
+  /// determinism tests and benchmarks; RunCpClean is the intended entry
+  /// point.
+  std::vector<double> FastSelectionScores(const std::vector<int>& dirty) {
+    return SelectionScores(dirty, /*use_cache=*/false);
+  }
 
   // --- Incremental stepping (the serving layer's interface) ---------------
   //
@@ -220,6 +226,10 @@ class CleaningSession {
   const CpCleanOptions& options() const { return options_; }
 
  private:
+  friend class CleaningSessionTestPeer;
+
+  /// Reset clears the selection cache (Restore and every Run* reset first):
+  /// it rewinds the dataset version, so a stale stamp could match again.
   void Reset();
   /// Re-applies storage_ to a freshly rebuilt working_ (best effort).
   void ApplyWorkingStorage();
@@ -240,6 +250,13 @@ class CleaningSession {
   /// Reference implementation (SS-DC per candidate); the fast path above
   /// computes the same scores batched.
   double ExpectedEntropyAfterCleaning(int i);
+  /// Expected-entropy scores for `dirty`, one row per active validation
+  /// point summed in ascending validation order. With `use_cache`, `dirty`
+  /// is dirty_ and rows persist in cache_ across greedy steps: a cached row
+  /// is recomputed only when the example cleaned since the last selection
+  /// passed that point's top-K prune.
+  std::vector<double> SelectionScores(const std::vector<int>& dirty,
+                                      bool use_cache);
   void CleanExample(int i);
   CleaningRunResult RunLoop(bool greedy, Rng* rng);
   void LogStep(CleaningRunResult* result, int step, int cleaned_example);
@@ -265,6 +282,25 @@ class CleaningSession {
   int num_val_certain_ = 0;
   // False after a mutation until RefreshValCertainty runs again.
   bool val_certainty_fresh_ = false;
+
+  // Greedy selection rows kept across steps, keyed by (validation point,
+  // tuple id). Allocated by the first greedy selection after a Reset.
+  // Cleaning example c leaves a point's row bit-identical when c could
+  // never enter its top-K (MaxSimilarity(c) < TopKFloor()): c adds an exact
+  // zero to every support, and the floor and every prune stay put. The rows
+  // are reusable while the working dataset has moved by at most one
+  // CleanExample since the stamp.
+  struct SelectionCache {
+    bool stamped = false;
+    uint64_t version = 0;  // working_.version() at the stamp
+    size_t cleaned = 0;    // cleaned_order_.size() at the stamp
+    std::vector<int> column;  // tuple id -> column, -1 if clean at allocation
+    size_t width = 0;         // columns per row
+    std::vector<int> slot;    // validation point -> row slot, -1 if uncached
+    std::vector<double> rows;     // slot-major, `width` entries per slot
+    std::vector<uint8_t> pruned;  // the tuple fell under the point's floor
+  };
+  SelectionCache cache_;
 };
 
 }  // namespace cpclean

@@ -147,7 +147,8 @@ const std::vector<OpInfo>& OpRegistry() {
        "(`dataset`, `train_rows`, `val_size`, `test_size`, `seed`, "
        "`missing_rate`, …; for CSV: `csv_text`/`csv_path`, `label`, optional "
        "`clean_*`/`val_*`/`test_*`), `k`, `kernel`, `num_threads`, "
-       "`cache_capacity`, `max_contrib_bytes`",
+       "`cache_capacity`, `max_contrib_bytes` (bound on the selection rows "
+       "kept across clean steps)",
        "session summary (sizes, dim, `log2_worlds`)",
        &OpHandlers::CreateSession},
       {"list_sessions", OpClass::kStateless, false, false, "—",

@@ -134,19 +134,19 @@ TEST(SnapshotTest, RestoreRejectsInvalidOrders) {
   NegativeEuclideanKernel kernel;
   CleaningSession session(&prepared.task, &kernel, Options());
 
-  EXPECT_FALSE(session.Restore(CleaningSnapshot{{-1}}).ok());
-  EXPECT_FALSE(
-      session
-          .Restore(CleaningSnapshot{{prepared.task.incomplete.num_examples()}})
-          .ok());
+  EXPECT_FALSE(session.Restore(CleaningSnapshot{{-1}, {}}).ok());
+  EXPECT_FALSE(session
+                   .Restore(CleaningSnapshot{
+                       {prepared.task.incomplete.num_examples()}, {}})
+                   .ok());
   const std::vector<int> dirty = prepared.task.DirtyRows();
   ASSERT_FALSE(dirty.empty());
   // Same example twice.
   EXPECT_FALSE(
-      session.Restore(CleaningSnapshot{{dirty[0], dirty[0]}}).ok());
+      session.Restore(CleaningSnapshot{{dirty[0], dirty[0]}, {}}).ok());
   // A failed restore still leaves a consistent (reset or replayed) state:
   // a valid restore afterwards succeeds.
-  EXPECT_TRUE(session.Restore(CleaningSnapshot{{dirty[0]}}).ok());
+  EXPECT_TRUE(session.Restore(CleaningSnapshot{{dirty[0]}, {}}).ok());
   EXPECT_EQ(session.NumCleaned(), 1);
 }
 
