@@ -1,11 +1,10 @@
-// Out-of-core storage benchmarks: what the append-only cleaning log and
-// the mmap slab buy. BM_Save_FullSnapshot re-serializes and rewrites the
-// whole session per save (the pre-log behavior); BM_Save_LogAppend saves
-// the same one-step delta through the cleaning log — its cost must be
-// independent of dataset size. BM_Rehydrate_Replay measures base + log
-// rehydration, and BM_Scan_Ram / BM_ScanStream_Mmap compare a full
-// similarity sweep over the candidate slab in both backing modes (the
-// results are bit-identical; only residency differs).
+// Storage benchmarks: what the append-only cleaning log buys.
+// BM_Save_FullSnapshot re-serializes and rewrites the whole session per
+// save (the pre-log behavior); BM_Save_LogAppend saves the same one-step
+// delta through the cleaning log — its cost must be independent of dataset
+// size. BM_Rehydrate_Replay measures base + log rehydration, and
+// BM_Scan_Ram times one full similarity sweep over the in-RAM candidate
+// slab.
 
 #include <benchmark/benchmark.h>
 
@@ -176,7 +175,9 @@ IncompleteDataset ScanDataset(int examples, int dim) {
   return dataset;
 }
 
-void RunScan(benchmark::State& state, const IncompleteDataset& dataset) {
+void BM_Scan_Ram(benchmark::State& state) {
+  const IncompleteDataset dataset =
+      ScanDataset(static_cast<int>(state.range(0)), 16);
   const std::unique_ptr<SimilarityKernel> kernel =
       MakeKernel(cpclean::KernelKind::kNegativeEuclidean);
   std::vector<double> t(static_cast<size_t>(dataset.dim()), 0.25);
@@ -187,27 +188,7 @@ void RunScan(benchmark::State& state, const IncompleteDataset& dataset) {
   }
   state.counters["rows"] = static_cast<double>(dataset.total_candidates());
 }
-
-void BM_Scan_Ram(benchmark::State& state) {
-  const IncompleteDataset dataset =
-      ScanDataset(static_cast<int>(state.range(0)), 16);
-  RunScan(state, dataset);
-}
 BENCHMARK(BM_Scan_Ram)->Arg(2048)->Arg(16384);
-
-void BM_ScanStream_Mmap(benchmark::State& state) {
-  IncompleteDataset dataset =
-      ScanDataset(static_cast<int>(state.range(0)), 16);
-  const std::string dir = FreshDataDir("scan");
-  // 256 KiB window: the 16384-example slab (4 MiB) streams in 16 blocks.
-  if (!dataset.BackWithFile(dir, size_t{256} << 10).ok()) {
-    state.SkipWithError("mmap backing failed");
-    return;
-  }
-  RunScan(state, dataset);
-  std::filesystem::remove_all(dir);
-}
-BENCHMARK(BM_ScanStream_Mmap)->Arg(2048)->Arg(16384);
 
 }  // namespace
 

@@ -16,11 +16,9 @@
 // rehydration across restarts); `--max-sessions=N` bounds resident
 // sessions (LRU eviction into the data dir).
 //
-// Storage knobs (README "Storage"): `--storage-mode=ram|mmap` picks how
-// sessions hold their candidate slab (mmap backs it with an unlinked
-// scratch file so cold blocks page out; results are bit-identical);
-// `--log-compact-bytes=N` sets the cleaning-log size at which a delta
-// save compacts into a fresh full base snapshot.
+// Storage knob (README "Storage"): `--log-compact-bytes=N` sets the
+// cleaning-log size at which a delta save compacts into a fresh full base
+// snapshot.
 //
 // TCP transport knobs: one event-loop thread holds every connection, and
 // identical concurrent q2 requests always merge into one engine
@@ -115,7 +113,6 @@ int main(int argc, char** argv) {
   int metrics_port = -1;
   int slow_request_ms = 0;
   std::string data_dir;
-  std::string storage_mode = "ram";
   int log_compact_bytes = 1 << 20;
   bool stdio = true;
   for (int i = 1; i < argc; ++i) {
@@ -154,14 +151,13 @@ int main(int argc, char** argv) {
     } else if (ParseIntFlag(arg, "--slow-request-ms", &value)) {
       slow_request_ms = value;
     } else if (ParseStringFlag(arg, "--data-dir", &data_dir)) {
-    } else if (ParseStringFlag(arg, "--storage-mode", &storage_mode)) {
     } else if (ParseIntFlag(arg, "--log-compact-bytes", &value)) {
       log_compact_bytes = value;
     } else if (std::strcmp(arg, "--help") == 0) {
       std::printf(
           "usage: cpclean_server [--stdio | --port=N] [--threads=N] "
           "[--cache=N] [--data-dir=PATH] [--max-sessions=N] "
-          "[--storage-mode=ram|mmap] [--log-compact-bytes=N] "
+          "[--log-compact-bytes=N] "
           "[--max-connections=N] [--max-inflight=N] "
           "[--request-workers=N] "
           "[--request-timeout-ms=N] [--idle-timeout-ms=N] "
@@ -174,11 +170,11 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (max_sessions < 0 || max_connections < 0 || max_inflight < 0 ||
-      request_workers < 0) {
+  if (threads < 0 || cache < 0 || max_sessions < 0 || max_connections < 0 ||
+      max_inflight < 0 || request_workers < 0) {
     std::fprintf(stderr,
-                 "--max-sessions/--max-connections/--max-inflight/"
-                 "--request-workers must be >= 0\n");
+                 "--threads/--cache/--max-sessions/--max-connections/"
+                 "--max-inflight/--request-workers must be >= 0\n");
     return 2;
   }
   if (request_timeout_ms < 0 || idle_timeout_ms < 0 ||
@@ -200,10 +196,6 @@ int main(int argc, char** argv) {
   }
   if (slow_request_ms < 0) {
     std::fprintf(stderr, "--slow-request-ms must be >= 0\n");
-    return 2;
-  }
-  if (storage_mode != "ram" && storage_mode != "mmap") {
-    std::fprintf(stderr, "--storage-mode must be ram or mmap\n");
     return 2;
   }
   if (log_compact_bytes < 1) {
@@ -229,11 +221,9 @@ int main(int argc, char** argv) {
                SimdLevelName(simd::ActiveSimdLevel()));
 
   ServerOptions options;
-  options.default_cache_capacity =
-      cache < 0 ? 0 : static_cast<size_t>(cache);
+  options.default_cache_capacity = static_cast<size_t>(cache);
   options.data_dir = data_dir;
   options.max_sessions = static_cast<size_t>(max_sessions);
-  options.storage_mode = storage_mode;
   options.log_compact_bytes = static_cast<size_t>(log_compact_bytes);
   options.max_connections = max_connections;
   options.max_inflight = max_inflight;

@@ -31,11 +31,10 @@ rename committed before the kill is always a state the script can verify.
                   sweep to persist the torture session; kills land inside
                   the sweep's serialize/commit/drop window, which runs
                   under the session's shared lock.
-  compact         the server runs with --storage-mode=mmap and
-                  --log-compact-bytes=64, so nearly every save folds the
-                  log into a fresh base snapshot; kills land between the
-                  base rename and the log unlink, leaving stale logs whose
-                  records must replay as no-ops.
+  compact         the server runs with --log-compact-bytes=64, so nearly
+                  every save folds the log into a fresh base snapshot;
+                  kills land between the base rename and the log unlink,
+                  leaving stale logs whose records must replay as no-ops.
 
 Stdlib only. Exit 0 with a summary, non-zero with a diagnosis.
 
@@ -163,7 +162,7 @@ def main():
     if args.mode == "evict":
         extra_args = ["--max-sessions=1"]
     elif args.mode == "compact":
-        extra_args = ["--storage-mode=mmap", "--log-compact-bytes=64"]
+        extra_args = ["--log-compact-bytes=64"]
 
     data_dir = args.data_dir or tempfile.mkdtemp(prefix="cpclean_torture_")
     if args.data_dir is None:

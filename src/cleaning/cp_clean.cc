@@ -110,31 +110,15 @@ void CleaningSession::Reset() {
   audit_.clear();
   last_newly_certain_.clear();
   cache_ = SelectionCache{};
-  // `working_ = task copy` above wiped any journal/file backing the
-  // serving layer configured; re-establish it.
-  ApplyWorkingStorage();
+  // `working_ = task copy` above wiped any journal the serving layer
+  // configured; re-establish it.
+  ConfigureWorkingStorage(storage_);
 }
 
-void CleaningSession::ApplyWorkingStorage() {
-  if (storage_.journal) working_.EnableJournal();
-  if (!storage_.mmap_scratch_dir.empty()) {
-    // Fallback to RAM on failure: the modes are bit-identical, and a
-    // Restore mid-flight has no way to surface a scratch-dir error.
-    const Status backed = working_.BackWithFile(
-        storage_.mmap_scratch_dir, storage_.stream_window_bytes);
-    (void)backed;
-  }
-}
-
-Status CleaningSession::ConfigureWorkingStorage(
+void CleaningSession::ConfigureWorkingStorage(
     const WorkingStorageOptions& storage) {
   storage_ = storage;
   if (storage_.journal) working_.EnableJournal();
-  if (!storage_.mmap_scratch_dir.empty()) {
-    CP_RETURN_NOT_OK(working_.BackWithFile(storage_.mmap_scratch_dir,
-                                           storage_.stream_window_bytes));
-  }
-  return Status::OK();
 }
 
 Status CleaningSession::Restore(const CleaningSnapshot& snapshot) {

@@ -69,19 +69,14 @@ struct CpCleanOptions {
   size_t max_contrib_bytes = size_t{2} << 20;
 };
 
-/// How a CleaningSession backs its working dataset (see
-/// `IncompleteDataset`'s storage modes). Configured once by the serving
-/// layer and re-applied automatically after every internal Reset (Run*
-/// entry points, Restore), which rebuilds the working copy from the task.
+/// What a CleaningSession keeps beside its working dataset. Configured once
+/// by the serving layer and re-applied automatically after every internal
+/// Reset (Run* entry points, Restore), which rebuilds the working copy from
+/// the task.
 struct WorkingStorageOptions {
   /// Record every working-dataset mutation in its journal, enabling
   /// O(delta) persistence through the append-only cleaning log.
   bool journal = false;
-  /// Non-empty: back the working flat slab with an unlinked mmap scratch
-  /// file under this directory; empty: plain RAM.
-  std::string mmap_scratch_dir;
-  /// Streaming window for file-backed candidate scans.
-  size_t stream_window_bytes = size_t{1} << 20;
 };
 
 /// One cleaning decision and its certification effect: the 1-based step
@@ -211,10 +206,8 @@ class CleaningSession {
   Status Restore(const CleaningSnapshot& snapshot);
 
   /// Applies `storage` to the working dataset now and after every future
-  /// Reset. Fails (leaving the session in RAM mode) when the scratch
-  /// mapping cannot be created; later re-applies fall back to RAM
-  /// silently — the two modes are bit-identical, only paging differs.
-  Status ConfigureWorkingStorage(const WorkingStorageOptions& storage);
+  /// Reset.
+  void ConfigureWorkingStorage(const WorkingStorageOptions& storage);
 
   /// Examples not yet cleaned.
   int NumDirtyRemaining() const { return static_cast<int>(dirty_.size()); }
@@ -231,8 +224,6 @@ class CleaningSession {
   /// Reset clears the selection cache (Restore and every Run* reset first):
   /// it rewinds the dataset version, so a stale stamp could match again.
   void Reset();
-  /// Re-applies storage_ to a freshly rebuilt working_ (best effort).
-  void ApplyWorkingStorage();
   /// Position in `dirty_` of the greedy choice (fast or reference scoring
   /// per `use_fast_selection`, ties toward the smallest example index).
   int SelectGreedyPos();

@@ -48,9 +48,6 @@ namespace cpclean {
 ///       cleaning-log I/O (append-open failure, fsync failure after the
 ///       bytes landed — the append truncates back —, replay failure on
 ///       rehydration)
-///   mmap.map / mmap.remap
-///       the out-of-core candidate slab's scratch-file mapping (creation
-///       and growth; both fall back to RAM mode at the session layer)
 ///   el.accept / el.recv / el.send / el.send_eagain / el.send_short
 ///       event-loop sockets (EMFILE on accept, connection reset on read /
 ///       write, EAGAIN storms, partial writes)

@@ -14,30 +14,10 @@ int SimilarityScores(const IncompleteDataset& dataset,
   CP_CHECK_EQ(static_cast<int>(t.size()), dataset.dim());
   const int dim = dataset.dim();
   if (dataset.flat_is_compact()) {
+    // No retired rows: the whole slab is one contiguous batch.
     const int total = dataset.total_candidates();
-    if (!dataset.file_backed()) {
-      // No retired rows: the whole slab is one contiguous batch.
-      kernel.SimilarityBatchNorms(dataset.flat_data(),
-                                  dataset.flat_sq_norms(), total, dim,
-                                  t.data(), out);
-      return total;
-    }
-    // File-backed slab: stream it through a bounded prefetched window,
-    // the way max_contrib_bytes streams the contribution matrix. Each row
-    // is scored independently, so the block boundaries cannot change any
-    // result bit vs. the single-batch call above.
-    const size_t row_bytes = static_cast<size_t>(dim) * sizeof(double);
-    const int block = std::max<int>(
-        1, static_cast<int>(dataset.stream_window_bytes() /
-                            std::max<size_t>(row_bytes, 1)));
-    dataset.PrefetchFlatRows(0, block);
-    for (int base = 0; base < total; base += block) {
-      const int count = std::min(block, total - base);
-      dataset.PrefetchFlatRows(base + count, block);
-      kernel.SimilarityBatchNorms(
-          dataset.flat_data() + static_cast<size_t>(base) * dim,
-          dataset.flat_sq_norms() + base, count, dim, t.data(), out + base);
-    }
+    kernel.SimilarityBatchNorms(dataset.flat_data(), dataset.flat_sq_norms(),
+                                total, dim, t.data(), out);
     return total;
   }
   int written = 0;

@@ -21,7 +21,7 @@ IncompleteDataset::IncompleteDataset(const IncompleteDataset& other)
     : examples_(other.examples_),
       num_labels_(other.num_labels_),
       dim_(other.dim_),
-      flat_(other.flat_data(), other.flat_data() + other.flat_doubles()),
+      flat_(other.flat_),
       sq_norms_(other.sq_norms_),
       cand_start_(other.cand_start_),
       cand_capacity_(other.cand_capacity_),
@@ -40,40 +40,18 @@ void IncompleteDataset::WriteFlatRow(int row,
                                      const std::vector<double>& features) {
   CP_CHECK_EQ(static_cast<int>(features.size()), dim_);
   std::copy(features.begin(), features.end(),
-            mutable_flat() + static_cast<size_t>(row) *
-                                 static_cast<size_t>(dim_));
+            flat_.data() + static_cast<size_t>(row) *
+                               static_cast<size_t>(dim_));
   sq_norms_[static_cast<size_t>(row)] = SquaredNorm(features);
 }
 
-Status IncompleteDataset::EnsureSlabCapacity(size_t doubles) {
-  if (!mapped_) return Status::OK();  // std::vector grows on demand
-  const size_t bytes = doubles * sizeof(double);
-  if (bytes <= mapped_->size()) return Status::OK();
-  // Grow geometrically so an AddExample stream does O(log n) remaps.
-  size_t want = mapped_->size() < 4096 ? 4096 : mapped_->size();
-  while (want < bytes) want *= 2;
-  return mapped_->Resize(want);
-}
-
 void IncompleteDataset::AppendFlatRow(const std::vector<double>& features) {
-  const size_t offset = flat_doubles();
-  if (mapped_) {
-    CP_CHECK(EnsureSlabCapacity(offset + features.size()).ok());
-    std::copy(features.begin(), features.end(),
-              static_cast<double*>(mapped_->data()) + offset);
-    mapped_doubles_ = offset + features.size();
-  } else {
-    flat_.insert(flat_.end(), features.begin(), features.end());
-  }
+  flat_.insert(flat_.end(), features.begin(), features.end());
   sq_norms_.push_back(SquaredNorm(features));
 }
 
 void IncompleteDataset::RebuildFlat() {
-  if (mapped_) {
-    mapped_doubles_ = 0;
-  } else {
-    flat_.clear();
-  }
+  flat_.clear();
   sq_norms_.clear();
   cand_start_.clear();
   cand_capacity_.clear();
@@ -88,32 +66,6 @@ void IncompleteDataset::RebuildFlat() {
     }
     total_candidates_ += static_cast<int>(ex.candidates.size());
   }
-}
-
-Status IncompleteDataset::BackWithFile(const std::string& scratch_dir,
-                                       size_t stream_window_bytes) {
-  if (mapped_) {
-    stream_window_bytes_ = stream_window_bytes;
-    return Status::OK();
-  }
-  CP_ASSIGN_OR_RETURN(
-      std::unique_ptr<MappedFile> mapped,
-      MappedFile::CreateScratch(scratch_dir, flat_.size() * sizeof(double)));
-  std::copy(flat_.begin(), flat_.end(),
-            static_cast<double*>(mapped->data()));
-  mapped_ = std::move(mapped);
-  mapped_doubles_ = flat_.size();
-  stream_window_bytes_ = stream_window_bytes == 0 ? 1 : stream_window_bytes;
-  flat_.clear();
-  flat_.shrink_to_fit();
-  return Status::OK();
-}
-
-void IncompleteDataset::PrefetchFlatRows(int first_row, int count) const {
-  if (!mapped_ || count <= 0) return;
-  const size_t stride = static_cast<size_t>(dim_) * sizeof(double);
-  mapped_->Prefetch(static_cast<size_t>(first_row) * stride,
-                    static_cast<size_t>(count) * stride);
 }
 
 void IncompleteDataset::EnableJournal() {
@@ -157,10 +109,6 @@ Status IncompleteDataset::AddExample(IncompleteExample example) {
     return Status::InvalidArgument(StrFormat(
         "candidate dimension %d does not match dataset dimension %d", d, dim_));
   }
-  // Pre-grow the file mapping so the appends below cannot fail mid-way.
-  CP_RETURN_NOT_OK(EnsureSlabCapacity(
-      flat_doubles() +
-      example.candidates.size() * static_cast<size_t>(d)));
   cand_start_.push_back(static_cast<int>(sq_norms_.size()));
   cand_capacity_.push_back(static_cast<int>(example.candidates.size()));
   for (const auto& c : example.candidates) {

@@ -2,12 +2,9 @@
 #define CPCLEAN_INCOMPLETE_INCOMPLETE_DATASET_H_
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "common/big_uint.h"
-#include "common/mmap_file.h"
 #include "common/result.h"
 
 namespace cpclean {
@@ -47,21 +44,16 @@ struct MutationRecord {
 /// with a cached squared L2 norm per row. Both are kept in sync by every
 /// mutator. `FixExample` collapses in place — the example keeps its flat
 /// slot range (capacity) and only its first row stays active — so a
-/// cleaning step never reshuffles the slab.
-///
-/// The flat mirror has two backing modes. By default it is an in-RAM
-/// `std::vector`. `BackWithFile` moves it into an unlinked mmap'd scratch
-/// file (norms and the candidate vectors stay in RAM), so large slabs can
-/// be paged by the kernel instead of pinned; readers stream it through
-/// `PrefetchFlatRows` windows. The two modes hold bit-identical doubles.
+/// cleaning step never reshuffles the slab. The flat mirror is one in-RAM
+/// `std::vector`.
 class IncompleteDataset {
  public:
   IncompleteDataset() = default;
   explicit IncompleteDataset(int num_labels) : num_labels_(num_labels) {}
 
-  /// Copies materialize into RAM backing mode and do not carry the source's
-  /// journal — a copy is a value snapshot of the candidate space (and its
-  /// version), not of the persistence machinery.
+  /// Copies do not carry the source's journal — a copy is a value snapshot
+  /// of the candidate space (and its version), not of the persistence
+  /// machinery.
   IncompleteDataset(const IncompleteDataset& other);
   IncompleteDataset& operator=(const IncompleteDataset& other);
   IncompleteDataset(IncompleteDataset&&) noexcept = default;
@@ -97,10 +89,7 @@ class IncompleteDataset {
   /// `flat_data() + r * dim()`. Rows of example `i` occupy flat rows
   /// `[flat_row(i, 0), flat_row(i, 0) + num_candidates(i))`. Invalidated by
   /// `AddExample` and by a `ReplaceCandidates` that grows past capacity.
-  const double* flat_data() const {
-    return mapped_ ? static_cast<const double*>(mapped_->data())
-                   : flat_.data();
-  }
+  const double* flat_data() const { return flat_.data(); }
 
   /// Flat row index of candidate (i, j).
   int flat_row(int i, int j) const {
@@ -137,27 +126,8 @@ class IncompleteDataset {
   bool flat_is_compact() const {
     return static_cast<size_t>(total_candidates_) *
                static_cast<size_t>(dim_) ==
-           flat_doubles();
+           flat_.size();
   }
-
-  // --- File-backed slab ----------------------------------------------------
-
-  /// Moves the flat slab into an unlinked mmap'd scratch file under
-  /// `scratch_dir` (which must exist). No-op when already file-backed.
-  /// Readers should stream the slab in `stream_window_bytes`-sized blocks
-  /// with `PrefetchFlatRows` — results are bit-identical to RAM mode
-  /// because the doubles are. On failure the dataset stays in RAM mode.
-  Status BackWithFile(const std::string& scratch_dir,
-                      size_t stream_window_bytes);
-
-  bool file_backed() const { return mapped_ != nullptr; }
-
-  /// Preferred streaming window for file-backed scans (0 = RAM mode).
-  size_t stream_window_bytes() const { return stream_window_bytes_; }
-
-  /// Advises the kernel to page flat rows [first_row, first_row + count)
-  /// in ahead of use. No-op in RAM mode; best effort.
-  void PrefetchFlatRows(int first_row, int count) const;
 
   // --- Mutation journal ----------------------------------------------------
 
@@ -205,22 +175,10 @@ class IncompleteDataset {
   void ReplaceCandidates(int i, std::vector<std::vector<double>> candidates);
 
  private:
-  /// Doubles currently stored in the flat slab (active + retired rows).
-  size_t flat_doubles() const {
-    return mapped_ ? mapped_doubles_ : flat_.size();
-  }
-  double* mutable_flat() {
-    return mapped_ ? static_cast<double*>(mapped_->data()) : flat_.data();
-  }
   /// Writes `features` into flat row `row` and refreshes its cached norm.
   void WriteFlatRow(int row, const std::vector<double>& features);
-  /// Appends one candidate row to the end of the slab (growing the mapping
-  /// in file-backed mode). CP_CHECK-fails on a grow failure; callers that
-  /// can surface a Status should pre-grow via `EnsureSlabCapacity`.
+  /// Appends one candidate row to the end of the slab.
   void AppendFlatRow(const std::vector<double>& features);
-  /// Grows the file mapping to hold at least `doubles` (RAM mode: no-op —
-  /// std::vector grows on demand).
-  Status EnsureSlabCapacity(size_t doubles);
   /// Rebuilds the flat slab from `examples_` (used when a replacement
   /// outgrows an example's reserved slots).
   void RebuildFlat();
@@ -231,12 +189,8 @@ class IncompleteDataset {
 
   // Flat mirror. cand_start_[i] is example i's first flat row; the example
   // owns cand_capacity_[i] consecutive rows of which the first
-  // num_candidates(i) are active. Exactly one of flat_ (RAM mode) and
-  // mapped_ (file mode, mapped_doubles_ doubles long) backs the slab.
+  // num_candidates(i) are active.
   std::vector<double> flat_;
-  std::unique_ptr<MappedFile> mapped_;
-  size_t mapped_doubles_ = 0;
-  size_t stream_window_bytes_ = 0;
   std::vector<double> sq_norms_;
   std::vector<int> cand_start_;
   std::vector<int> cand_capacity_;

@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <filesystem>
 #include <istream>
 #include <ostream>
 #include <thread>
@@ -36,18 +35,6 @@ JsonValue SpecFromRequest(const JsonValue& req) {
     spec.Set(member.first, member.second);
   }
   return spec;
-}
-
-/// Where `--storage-mode=mmap` puts its unlinked scratch files: the data
-/// dir when one is configured (same filesystem the sessions persist to),
-/// else the system temp dir. Empty (RAM mode) for any other mode string —
-/// flag validation happens at the CLI.
-std::string ResolveScratchDir(const ServerOptions& options) {
-  if (options.storage_mode != "mmap") return std::string();
-  if (!options.data_dir.empty()) return options.data_dir;
-  std::error_code ec;
-  const std::filesystem::path tmp = std::filesystem::temp_directory_path(ec);
-  return ec ? std::string(".") : tmp.string();
 }
 
 /// A listening TCP socket on 127.0.0.1 and the port it got.
@@ -99,7 +86,6 @@ SessionStoreOptions StoreOptionsFrom(const ServerOptions& options) {
   store.max_sessions = options.max_sessions;
   store.default_cache_capacity = options.default_cache_capacity;
   store.log_compact_bytes = options.log_compact_bytes;
-  store.mmap_scratch_dir = ResolveScratchDir(options);
   return store;
 }
 
@@ -178,11 +164,8 @@ Result<JsonValue> Server::CreateSession(const JsonValue& req) {
         StrFormat("session \"%s\" already exists", name.c_str()));
   }
   CP_ASSIGN_OR_RETURN(
-      ServeSessionOptions options,
+      const ServeSessionOptions options,
       ServeSessionOptionsFromRequest(req, options_.default_cache_capacity));
-  // Working storage is server policy (the --storage-mode flag), never part
-  // of the client spec — rehydration applies the same resolution.
-  options.mmap_scratch_dir = ResolveScratchDir(options_);
   CP_ASSIGN_OR_RETURN(CleaningTask task, BuildTaskFromSpec(req));
   // Build AND prime the session outside the lock (task construction and
   // Make's certainty sweep are the expensive parts); only publish +

@@ -29,12 +29,6 @@ struct ServerOptions {
   /// Max resident sessions; beyond it the least-recently-used session is
   /// saved to `data_dir` and dropped from RAM. 0 = unlimited.
   size_t max_sessions = 0;
-  /// Working-dataset candidate storage for every session: "ram" keeps the
-  /// flat candidate slab in anonymous memory; "mmap" backs it with an
-  /// unlinked scratch file (under `data_dir`, or the system temp dir when
-  /// persistence is disabled) so the kernel pages cold candidate blocks
-  /// out under memory pressure. Bit-identical query results either way.
-  std::string storage_mode = "ram";
   /// Compaction threshold for per-session cleaning logs: a save is an
   /// O(delta) fsync'd append to `<name>.cplog` until the log would exceed
   /// this many bytes, at which point the save writes a fresh full base

@@ -122,13 +122,10 @@ Result<std::shared_ptr<ServeSession>> ServeSession::Make(
                               clean_options));
   // Serving sessions always journal their working-dataset mutations: the
   // session store's delta saves append exactly this journal to the
-  // cleaning log. An mmap scratch dir additionally moves the flat slab
-  // out of anonymous memory (bit-identical; only paging differs).
+  // cleaning log.
   WorkingStorageOptions storage;
   storage.journal = true;
-  storage.mmap_scratch_dir = options.mmap_scratch_dir;
-  storage.stream_window_bytes = options.stream_window_bytes;
-  CP_RETURN_NOT_OK(session->cleaner_->ConfigureWorkingStorage(storage));
+  session->cleaner_->ConfigureWorkingStorage(storage);
   session->engines_ = std::make_unique<EnginePool>(
       &session->cleaner_->working(), options.k);
   // Prime the validation-certainty flags before publishing: they refresh

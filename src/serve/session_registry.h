@@ -34,12 +34,6 @@ struct ServeSessionOptions {
   /// Bound on the greedy selection rows kept across clean steps (see
   /// CpCleanOptions).
   size_t max_contrib_bytes = size_t{2} << 20;
-  /// Non-empty: back the session's working candidate slab with an unlinked
-  /// mmap scratch file under this directory (the server's `--storage-mode`
-  /// resolution; not a per-request knob, so not parsed from specs).
-  std::string mmap_scratch_dir;
-  /// Streaming window for file-backed candidate scans.
-  size_t stream_window_bytes = size_t{1} << 20;
 };
 
 /// Maps the wire kernel names ("neg_euclidean", "rbf", "linear", "cosine")

@@ -711,13 +711,8 @@ Result<std::shared_ptr<ServeSession>> SessionStore::Load(
   }
 
   CP_ASSIGN_OR_RETURN(
-      ServeSessionOptions options,
+      const ServeSessionOptions options,
       ServeSessionOptionsFromRequest(spec, options_.default_cache_capacity));
-  // Working-storage knobs are server policy, not part of the spec: a
-  // snapshot saved under --storage-mode=ram rehydrates into mmap mode
-  // (or back) without any format change — the two are bit-identical.
-  options.mmap_scratch_dir = options_.mmap_scratch_dir;
-  options.stream_window_bytes = options_.stream_window_bytes;
   CP_ASSIGN_OR_RETURN(CleaningTask task, BuildTaskFromSpec(spec));
   if (TaskFingerprint(task) != want_fingerprint.value()) {
     // The working dataset is bit-verified separately (RestoreCleaning);

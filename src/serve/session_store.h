@@ -43,11 +43,6 @@ struct SessionStoreOptions {
   /// append would grow `<name>.cplog` past this many bytes writes a fresh
   /// full base snapshot instead (and removes the log).
   size_t log_compact_bytes = size_t{1} << 20;
-  /// Working-storage options stamped onto rehydrated sessions (see
-  /// WorkingStorageOptions): non-empty `mmap_scratch_dir` backs their
-  /// candidate slab with an unlinked mmap scratch file there.
-  std::string mmap_scratch_dir;
-  size_t stream_window_bytes = size_t{1} << 20;
 };
 
 /// Snapshot persistence and lifecycle policy for serving sessions: the

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
 #include <set>
+#include <vector>
 
 #include "core/similarity.h"
 #include "core/tally_enum.h"
 #include "knn/kernel.h"
+#include "tests/test_util.h"
 
 namespace cpclean {
 namespace {
@@ -70,6 +74,44 @@ TEST(SortedScanTest, AscendingUnderTotalOrder) {
   EXPECT_EQ(scan[3].candidate, 0);
   for (size_t i = 1; i < scan.size(); ++i) {
     EXPECT_TRUE(LessSimilar(scan[i - 1], scan[i]));
+  }
+}
+
+// SimilarityScores sweeps a compact slab in one batch and a slab with
+// retired rows example by example. Each row is scored independently, so
+// the two layouts of the same candidate space give the same bits.
+TEST(SimilarityScoresTest, RetiredRowsDoNotChangeAnyBit) {
+  testing_util::RandomDatasetSpec spec;
+  spec.num_examples = 30;
+  spec.max_candidates = 4;
+  spec.dim = 5;
+  spec.seed = 12;
+  IncompleteDataset retired = testing_util::MakeRandomDataset(spec);
+  for (int i = 0; i < retired.num_examples(); i += 3) {
+    retired.FixExample(i, retired.num_candidates(i) - 1);
+  }
+  IncompleteDataset compact(retired.num_labels());
+  for (int i = 0; i < retired.num_examples(); ++i) {
+    ASSERT_TRUE(compact.AddExample(retired.example(i)).ok());
+  }
+  ASSERT_FALSE(retired.flat_is_compact());
+  ASSERT_TRUE(compact.flat_is_compact());
+  ASSERT_EQ(retired.total_candidates(), compact.total_candidates());
+
+  const std::vector<double> t = testing_util::MakeRandomTestPoint(spec.dim, 7);
+  const size_t n = static_cast<size_t>(compact.total_candidates());
+  for (const KernelKind kind :
+       {KernelKind::kNegativeEuclidean, KernelKind::kRbf, KernelKind::kLinear,
+        KernelKind::kCosine}) {
+    const std::unique_ptr<SimilarityKernel> kernel = MakeKernel(kind, 0.7);
+    std::vector<double> want(n);
+    std::vector<double> got(n);
+    EXPECT_EQ(SimilarityScores(compact, t, *kernel, want.data()),
+              static_cast<int>(n));
+    EXPECT_EQ(SimilarityScores(retired, t, *kernel, got.data()),
+              static_cast<int>(n));
+    EXPECT_EQ(std::memcmp(want.data(), got.data(), n * sizeof(double)), 0)
+        << kernel->name();
   }
 }
 

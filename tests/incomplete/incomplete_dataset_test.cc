@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 namespace cpclean {
 namespace {
@@ -70,6 +71,43 @@ TEST(IncompleteDatasetTest, ReplaceCandidates) {
   dataset.ReplaceCandidates(0, {{9.0, 9.0}, {8.0, 8.0}});
   EXPECT_EQ(dataset.num_candidates(0), 2);
   EXPECT_EQ(dataset.NumPossibleWorlds(), BigUint(12));
+}
+
+TEST(IncompleteDatasetTest, JournalRecordsMutationsSinceEnable) {
+  IncompleteDataset dataset = MakeDataset();
+  const uint64_t v0 = dataset.version();
+  EXPECT_FALSE(dataset.journal_enabled());
+  dataset.EnableJournal();
+  EXPECT_TRUE(dataset.journal_enabled());
+  EXPECT_TRUE(dataset.JournalCovers(v0));
+  // Coverage starts at the version the journal was enabled at.
+  EXPECT_FALSE(dataset.JournalCovers(v0 - 1));
+  dataset.FixExample(1, 0);
+  dataset.FixExample(2, 0);
+  const std::vector<MutationRecord> all = dataset.JournalSince(v0);
+  ASSERT_EQ(all.size(), 2u);
+  EXPECT_EQ(all[0].seq, v0 + 1);
+  EXPECT_EQ(all[0].example, 1);
+  EXPECT_EQ(all[1].seq, v0 + 2);
+  EXPECT_EQ(all[1].example, 2);
+  EXPECT_EQ(dataset.JournalSince(v0 + 1).size(), 1u);
+  EXPECT_EQ(dataset.JournalSince(v0 + 2).size(), 0u);
+}
+
+TEST(IncompleteDatasetTest, CopiesKeepVersionAndDropJournal) {
+  IncompleteDataset dataset = MakeDataset();
+  dataset.EnableJournal();
+  dataset.FixExample(1, 0);
+  const IncompleteDataset copy = dataset;
+  EXPECT_FALSE(copy.journal_enabled());
+  EXPECT_EQ(copy.version(), dataset.version());
+  EXPECT_TRUE(BitIdentical(copy, dataset));
+  // Assignment adopts the assigned dataset's version the same way.
+  IncompleteDataset assigned(2);
+  assigned = dataset;
+  EXPECT_FALSE(assigned.journal_enabled());
+  EXPECT_EQ(assigned.version(), dataset.version());
+  EXPECT_TRUE(BitIdentical(assigned, dataset));
 }
 
 // --- Flat mirror ------------------------------------------------------------

@@ -4,8 +4,7 @@
 // disk at all, rehydration replays base + log bit-identically, the log
 // folds into a fresh base when it outgrows the compaction threshold
 // (also under concurrent readers), torn tails recover, mid-log damage
-// fails loudly, drop/startup-sweep remove logs, and the mmap storage
-// mode serves bit-identical answers end to end.
+// fails loudly, and drop/startup-sweep remove logs.
 
 #include <gtest/gtest.h>
 
@@ -310,37 +309,6 @@ TEST(StoreLogTest, DropRemovesLogAndStartupSweepsOrphans) {
                     "{\"op\":\"load_session\",\"session\":\"ghost\"}")
                 .find("\"Not found\""),
             std::string::npos);
-}
-
-TEST(StoreLogTest, MmapStorageModeIsBitIdenticalEndToEnd) {
-  const std::string dir = FreshDataDir("log_mmap");
-  constexpr int kSeed = 147;
-  Server ram = MakeServer("");
-  ParseOk(ram.HandleLine(CreateRequest("s", kSeed)));
-
-  ServerOptions options;
-  options.data_dir = dir;
-  options.storage_mode = "mmap";
-  Server mmap_server(options);
-  ParseOk(mmap_server.HandleLine(CreateRequest("s", kSeed)));
-  EXPECT_EQ(Q2Sweep(&mmap_server, "s"), Q2Sweep(&ram, "s"));
-
-  // Clean to completion: identical order, identical final answers.
-  const std::string ram_cleaned =
-      ParseOk(ram.HandleLine("{\"op\":\"clean_run\",\"session\":\"s\"}"))
-          .Find("cleaned")
-          ->Dump();
-  EXPECT_EQ(ParseOk(mmap_server.HandleLine(
-                        "{\"op\":\"clean_run\",\"session\":\"s\"}"))
-                .Find("cleaned")
-                ->Dump(),
-            ram_cleaned);
-  EXPECT_EQ(Q2Sweep(&mmap_server, "s"), Q2Sweep(&ram, "s"));
-
-  // Save → restart (still mmap mode): the rehydrated session matches too.
-  Save(&mmap_server, "s");
-  Server reloaded(options);
-  EXPECT_EQ(Q2Sweep(&reloaded, "s"), Q2Sweep(&ram, "s"));
 }
 
 TEST(StoreLogTest, CompactionUnderConcurrentReadsServesEveryQuery) {
