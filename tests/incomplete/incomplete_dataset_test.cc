@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 namespace cpclean {
@@ -188,6 +189,66 @@ TEST(IncompleteDatasetFlatTest, MirrorSurvivesMixedMutation) {
   dataset.FixExample(3, 0);
   ExpectFlatMirrorsVectors(dataset);
   EXPECT_EQ(dataset.total_candidates(), 1 + 1 + 4 + 1);
+}
+
+// Every active row's features and cached norm, byte for byte.
+void ExpectSameRowBytes(const IncompleteDataset& a, const IncompleteDataset& b) {
+  ASSERT_EQ(a.num_examples(), b.num_examples());
+  ASSERT_EQ(a.dim(), b.dim());
+  const size_t row_bytes = static_cast<size_t>(a.dim()) * sizeof(double);
+  for (int i = 0; i < a.num_examples(); ++i) {
+    ASSERT_EQ(a.num_candidates(i), b.num_candidates(i));
+    for (int j = 0; j < a.num_candidates(i); ++j) {
+      EXPECT_EQ(std::memcmp(a.candidate_ptr(i, j), b.candidate_ptr(i, j),
+                            row_bytes),
+                0)
+          << "candidate (" << i << "," << j << ")";
+      const double na = a.candidate_sq_norm(i, j);
+      const double nb = b.candidate_sq_norm(i, j);
+      EXPECT_EQ(std::memcmp(&na, &nb, sizeof(double)), 0)
+          << "norm (" << i << "," << j << ")";
+    }
+  }
+}
+
+// In-place collapses, same-size and growing replacements and appends leave
+// the slab holding exactly what a dataset built fresh from the final
+// examples holds.
+TEST(IncompleteDatasetFlatTest, MutatedSlabMatchesFreshlyBuiltTwin) {
+  IncompleteDataset dataset = MakeDataset();
+  dataset.FixExample(2, 1);
+  dataset.ReplaceCandidates(1, {{1.0 / 3.0, -0.0}, {1e300, 4.2}});
+  ASSERT_TRUE(dataset.AddExample({{{1.5, 2.5}, {3.5, 4.5}}, 1}).ok());
+  dataset.ReplaceCandidates(0, {{0.1, 0.2}, {-1.0, -2.0}, {9.0, 8.0}});
+  dataset.FixExample(3, 0);
+  IncompleteDataset fresh(dataset.num_labels());
+  for (int i = 0; i < dataset.num_examples(); ++i) {
+    ASSERT_TRUE(fresh.AddExample(dataset.example(i)).ok());
+  }
+  EXPECT_TRUE(BitIdentical(dataset, fresh));
+  EXPECT_EQ(dataset.total_candidates(), fresh.total_candidates());
+  ExpectSameRowBytes(dataset, fresh);
+}
+
+// A copy keeps the slab layout, retired rows included, and owns its
+// storage: mutating the copy leaves the original untouched.
+TEST(IncompleteDatasetFlatTest, CopyKeepsLayoutAndOwnsItsSlab) {
+  IncompleteDataset dataset = MakeDataset();
+  dataset.FixExample(2, 2);
+  ASSERT_FALSE(dataset.flat_is_compact());
+  IncompleteDataset copy = dataset;
+  EXPECT_FALSE(copy.flat_is_compact());
+  EXPECT_NE(copy.flat_data(), dataset.flat_data());
+  for (int i = 0; i < dataset.num_examples(); ++i) {
+    for (int j = 0; j < dataset.num_candidates(i); ++j) {
+      EXPECT_EQ(copy.flat_row(i, j), dataset.flat_row(i, j));
+    }
+  }
+  ExpectSameRowBytes(copy, dataset);
+  copy.FixExample(1, 0);
+  EXPECT_EQ(dataset.num_candidates(1), 2);
+  EXPECT_DOUBLE_EQ(dataset.candidate_ptr(1, 1)[0], 5.0);
+  ExpectFlatMirrorsVectors(dataset);
 }
 
 }  // namespace

@@ -4,7 +4,8 @@
 // disk at all, rehydration replays base + log bit-identically, the log
 // folds into a fresh base when it outgrows the compaction threshold
 // (also under concurrent readers), torn tails recover, mid-log damage
-// fails loudly, and drop/startup-sweep remove logs.
+// fails loudly, drop/startup-sweep remove logs, and a durable session
+// answers like a memory-only one through clean_run and a restart.
 
 #include <gtest/gtest.h>
 
@@ -309,6 +310,34 @@ TEST(StoreLogTest, DropRemovesLogAndStartupSweepsOrphans) {
                     "{\"op\":\"load_session\",\"session\":\"ghost\"}")
                 .find("\"Not found\""),
             std::string::npos);
+}
+
+TEST(StoreLogTest, DurableSessionMatchesMemoryOnlyThroughRestart) {
+  const std::string dir = FreshDataDir("log_durable");
+  constexpr int kSeed = 147;
+  Server memory_only = MakeServer("");
+  ParseOk(memory_only.HandleLine(CreateRequest("s", kSeed)));
+  Server durable = MakeServer(dir);
+  ParseOk(durable.HandleLine(CreateRequest("s", kSeed)));
+  EXPECT_EQ(Q2Sweep(&durable, "s"), Q2Sweep(&memory_only, "s"));
+
+  // Clean to completion: identical order, identical final answers.
+  const std::string want_cleaned =
+      ParseOk(memory_only.HandleLine(
+                  "{\"op\":\"clean_run\",\"session\":\"s\"}"))
+          .Find("cleaned")
+          ->Dump();
+  EXPECT_EQ(ParseOk(durable.HandleLine(
+                        "{\"op\":\"clean_run\",\"session\":\"s\"}"))
+                .Find("cleaned")
+                ->Dump(),
+            want_cleaned);
+  EXPECT_EQ(Q2Sweep(&durable, "s"), Q2Sweep(&memory_only, "s"));
+
+  // Save and restart: the rehydrated session matches too.
+  Save(&durable, "s");
+  Server reloaded = MakeServer(dir);
+  EXPECT_EQ(Q2Sweep(&reloaded, "s"), Q2Sweep(&memory_only, "s"));
 }
 
 TEST(StoreLogTest, CompactionUnderConcurrentReadsServesEveryQuery) {
