@@ -156,7 +156,7 @@ void BM_Rehydrate_Replay(benchmark::State& state) {
   }
   std::filesystem::remove_all(dir);
 }
-BENCHMARK(BM_Rehydrate_Replay)->Arg(1000)->Iterations(8);
+BENCHMARK(BM_Rehydrate_Replay)->Arg(1000)->Arg(4000)->Iterations(8);
 
 IncompleteDataset ScanDataset(int examples, int dim) {
   std::mt19937_64 rng(99);

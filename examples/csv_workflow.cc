@@ -40,10 +40,12 @@ int main() {
 
   const int label_col = dirty.schema().FieldIndex("label").value();
 
-  // Candidate repairs for each dirty row (numeric: column percentiles;
-  // categorical: frequent categories + "other").
+  // Candidate repairs, computed once per column (numeric: column
+  // percentiles; categorical: frequent categories + "other"); each dirty
+  // row's completions are the product of its missing columns' lists.
+  const auto column_repairs = ColumnRepairs(dirty, label_col);
   for (int r : dirty.RowsWithMissing()) {
-    auto repairs = RowRepairs(dirty, r, label_col);
+    auto repairs = RowRepairs(dirty, r, label_col, column_repairs);
     std::printf("row %d has %d candidate completions\n", r,
                 static_cast<int>(repairs.value().size()));
   }

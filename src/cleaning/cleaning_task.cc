@@ -95,13 +95,17 @@ Result<CleaningTask> BuildCleaningTask(const Table& dirty_train,
   }
   CP_RETURN_NOT_OK(task.encoder.Fit(fit_table, {task.label_col}));
 
-  // Candidate space and the oracle's answers.
+  // Candidate space and the oracle's answers. Each column's repair list is
+  // built once and shared by every row.
+  const std::vector<std::vector<Value>> column_repairs =
+      ColumnRepairs(dirty_train, task.label_col, repair_options);
   task.incomplete = IncompleteDataset(task.labels.num_labels());
   task.candidate_rows.reserve(static_cast<size_t>(dirty_train.num_rows()));
   task.true_candidate.reserve(static_cast<size_t>(dirty_train.num_rows()));
   for (int r = 0; r < dirty_train.num_rows(); ++r) {
-    CP_ASSIGN_OR_RETURN(
-        auto rows, RowRepairs(dirty_train, r, task.label_col, repair_options));
+    CP_ASSIGN_OR_RETURN(auto rows,
+                        RowRepairs(dirty_train, r, task.label_col,
+                                   column_repairs, repair_options));
     CP_ASSIGN_OR_RETURN(int y,
                         task.labels.Encode(dirty_train.at(r, task.label_col)));
     task.train_y.push_back(y);

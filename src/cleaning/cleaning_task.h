@@ -62,7 +62,8 @@ struct CleaningTask {
 
 /// Builds a task from the four tables. `label_name` selects the class
 /// column. Candidate repairs are generated from `dirty_train` per
-/// `repair_options`; the feature encoder is fit on the default-imputed
+/// `repair_options`, one list per column (`ColumnRepairs`) shared by every
+/// row; the feature encoder is fit on the default-imputed
 /// training table plus val and test so every candidate has an encoding.
 Result<CleaningTask> BuildCleaningTask(
     const Table& dirty_train, const Table& clean_train, const Table& val,

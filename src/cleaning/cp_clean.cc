@@ -48,6 +48,21 @@ void FillSelectionRow(FastQ2& q2, const IncompleteDataset& working,
 
 }  // namespace
 
+Status ValidateCleaningK(int k, int num_training_rows) {
+  if (k < 1) {
+    return Status::InvalidArgument(StrFormat("k must be >= 1, got %d", k));
+  }
+  if (k > FastQ2::kMaxK) {
+    return Status::InvalidArgument(StrFormat(
+        "k = %d exceeds the FastQ2 engine cap of %d", k, FastQ2::kMaxK));
+  }
+  if (k > num_training_rows) {
+    return Status::InvalidArgument(StrFormat(
+        "k = %d exceeds the %d training examples", k, num_training_rows));
+  }
+  return Status::OK();
+}
+
 CleaningSession::CleaningSession(const CleaningTask* task,
                                  const SimilarityKernel* kernel,
                                  const CpCleanOptions& options)
@@ -69,20 +84,8 @@ Result<std::unique_ptr<CleaningSession>> CleaningSession::Create(
     const CpCleanOptions& options) {
   if (task == nullptr) return Status::InvalidArgument("task is null");
   if (kernel == nullptr) return Status::InvalidArgument("kernel is null");
-  if (options.k < 1) {
-    return Status::InvalidArgument(
-        StrFormat("k must be >= 1, got %d", options.k));
-  }
-  if (options.k > FastQ2::kMaxK) {
-    return Status::InvalidArgument(
-        StrFormat("k = %d exceeds the FastQ2 engine cap of %d", options.k,
-                  FastQ2::kMaxK));
-  }
-  if (options.k > task->incomplete.num_examples()) {
-    return Status::InvalidArgument(
-        StrFormat("k = %d exceeds the %d training examples", options.k,
-                  task->incomplete.num_examples()));
-  }
+  CP_RETURN_NOT_OK(
+      ValidateCleaningK(options.k, task->incomplete.num_examples()));
   return std::make_unique<CleaningSession>(task, kernel, options);
 }
 

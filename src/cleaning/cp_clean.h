@@ -108,6 +108,12 @@ struct CleaningSnapshot {
   std::vector<CleaningAuditRecord> audit;
 };
 
+/// The k that CPClean accepts over `num_training_rows` training examples:
+/// InvalidArgument unless 1 <= k <= FastQ2::kMaxK and k <= the rows. Check
+/// it before any KNN runs on untrusted k: the KNN and FastQ2 constructors
+/// CP_CHECK-abort on the same conditions.
+Status ValidateCleaningK(int k, int num_training_rows);
+
 /// Driver for human-in-the-loop cleaning over a CleaningTask. Owns a
 /// working copy of the incomplete dataset and the current "best guess"
 /// world (cleaned rows take their oracle value, still-dirty rows their

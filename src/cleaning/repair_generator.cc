@@ -59,10 +59,31 @@ std::vector<Value> CellRepairs(const Table& table, int col,
   return repairs;
 }
 
+std::vector<std::vector<Value>> ColumnRepairs(const Table& table,
+                                              int label_col,
+                                              const RepairOptions& options) {
+  std::vector<std::vector<Value>> lists(
+      static_cast<size_t>(table.num_columns()));
+  for (int c = 0; c < table.num_columns(); ++c) {
+    if (c != label_col) {
+      lists[static_cast<size_t>(c)] = CellRepairs(table, c, options);
+    }
+  }
+  return lists;
+}
+
 Result<std::vector<std::vector<Value>>> RowRepairs(
-    const Table& table, int row, int label_col, const RepairOptions& options) {
+    const Table& table, int row, int label_col,
+    const std::vector<std::vector<Value>>& column_repairs,
+    const RepairOptions& options) {
   if (row < 0 || row >= table.num_rows()) {
     return Status::OutOfRange(StrFormat("row %d out of range", row));
+  }
+  if (static_cast<int>(column_repairs.size()) != table.num_columns()) {
+    return Status::InvalidArgument(
+        StrFormat("%d column repair lists for %d columns",
+                  static_cast<int>(column_repairs.size()),
+                  table.num_columns()));
   }
   const std::vector<Value>& base = table.row(row);
   if (label_col >= 0 && label_col < table.num_columns() &&
@@ -72,13 +93,17 @@ Result<std::vector<std::vector<Value>>> RowRepairs(
   }
   std::vector<int> missing_cols;
   for (int c = 0; c < table.num_columns(); ++c) {
-    if (c == label_col) continue;
-    if (base[static_cast<size_t>(c)].is_null()) missing_cols.push_back(c);
+    if (c == label_col || !base[static_cast<size_t>(c)].is_null()) continue;
+    if (column_repairs[static_cast<size_t>(c)].empty()) {
+      return Status::InvalidArgument(
+          StrFormat("no candidate repairs for missing column %d", c));
+    }
+    missing_cols.push_back(c);
   }
   std::vector<std::vector<Value>> out;
   out.push_back(base);
   for (int c : missing_cols) {
-    const std::vector<Value> repairs = CellRepairs(table, c, options);
+    const std::vector<Value>& repairs = column_repairs[static_cast<size_t>(c)];
     std::vector<std::vector<Value>> next;
     next.reserve(out.size() * repairs.size());
     for (const auto& partial : out) {

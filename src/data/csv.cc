@@ -105,9 +105,18 @@ Result<Table> ReadCsvString(const std::string& text,
     if (!any_value) types[c] = ColumnType::kCategorical;
   }
 
+  // Schema CP_CHECKs unique names; a header is untrusted input, so a
+  // repeated name is reported here instead.
   std::vector<Field> fields;
   for (size_t c = 0; c < width; ++c) {
-    fields.push_back({std::string(StripWhitespace(header[c])), types[c]});
+    std::string name(StripWhitespace(header[c]));
+    for (const Field& field : fields) {
+      if (field.name == name) {
+        return Status::InvalidArgument(StrFormat(
+            "duplicate column name \"%s\" in CSV header", name.c_str()));
+      }
+    }
+    fields.push_back({std::move(name), types[c]});
   }
   Table table((Schema(std::move(fields))));
   for (size_t r = first_data; r < records.size(); ++r) {

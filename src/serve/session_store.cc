@@ -18,6 +18,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "cleaning/cp_clean.h"
 #include "cleaning/imputers.h"
 #include "common/fault_injection.h"
 #include "common/metrics.h"
@@ -157,6 +158,10 @@ Result<CleaningTask> BuildTaskFromSpec(const JsonValue& spec) {
         config.dataset.missing_rate,
         RequestDoubleOr(spec, "missing_rate", config.dataset.missing_rate));
     CP_ASSIGN_OR_RETURN(config.k, RequestIntParam(spec, "k", 3));
+    // Feature importance and the two accuracies run KNN with this k on the
+    // training rows, so it is checked before they run, not at session
+    // creation.
+    CP_RETURN_NOT_OK(ValidateCleaningK(config.k, train_rows));
     config.seed = static_cast<uint64_t>(seed);
     CP_ASSIGN_OR_RETURN(config.num_threads,
                         RequestIntParam(spec, "num_threads", 0));

@@ -60,14 +60,15 @@ TEST(CellRepairsTest, CategoricalCapsAtTopK) {
 
 TEST(RowRepairsTest, CompleteRowYieldsItself) {
   const Table table = MakeDirtyTable();
-  const auto rows = RowRepairs(table, 0, 2).value();
+  const auto rows = RowRepairs(table, 0, 2, ColumnRepairs(table, 2)).value();
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0], table.row(0));
 }
 
 TEST(RowRepairsTest, SingleMissingCellExpandsToCellRepairs) {
   const Table table = MakeDirtyTable();
-  const auto rows = RowRepairs(table, 2, 2).value();  // missing age
+  // Row 2 is missing its age.
+  const auto rows = RowRepairs(table, 2, 2, ColumnRepairs(table, 2)).value();
   ASSERT_EQ(rows.size(), 5u);
   for (const auto& row : rows) {
     EXPECT_TRUE(row[0].is_numeric());
@@ -78,7 +79,8 @@ TEST(RowRepairsTest, SingleMissingCellExpandsToCellRepairs) {
 
 TEST(RowRepairsTest, MultipleMissingCellsTakeCartesianProduct) {
   const Table table = MakeDirtyTable();
-  const auto rows = RowRepairs(table, 5, 2).value();  // age AND city missing
+  // Row 5 is missing its age AND its city.
+  const auto rows = RowRepairs(table, 5, 2, ColumnRepairs(table, 2)).value();
   EXPECT_EQ(rows.size(), 20u);  // 5 numeric x 4 categorical
   // All complete.
   for (const auto& row : rows) {
@@ -90,15 +92,38 @@ TEST(RowRepairsTest, CartesianProductRespectsCap) {
   RepairOptions options;
   options.max_candidates_per_row = 7;
   const Table table = MakeDirtyTable();
-  const auto rows = RowRepairs(table, 5, 2, options).value();
+  const auto rows =
+      RowRepairs(table, 5, 2, ColumnRepairs(table, 2, options), options)
+          .value();
   EXPECT_EQ(rows.size(), 7u);
+}
+
+TEST(ColumnRepairsTest, OneCellRepairListPerFeatureColumn) {
+  const Table table = MakeDirtyTable();
+  const auto lists = ColumnRepairs(table, 2);
+  ASSERT_EQ(lists.size(), 3u);
+  EXPECT_EQ(lists[0], CellRepairs(table, 0));
+  EXPECT_EQ(lists[1], CellRepairs(table, 1));
+  EXPECT_TRUE(lists[2].empty());  // the label column is never repaired
+}
+
+TEST(RowRepairsTest, RejectsMismatchedOrEmptyColumnLists) {
+  const Table table = MakeDirtyTable();
+  auto lists = ColumnRepairs(table, 2);
+  lists.pop_back();
+  EXPECT_FALSE(RowRepairs(table, 2, 2, lists).ok());
+  lists = ColumnRepairs(table, 2);
+  lists[0].clear();  // row 2 misses column 0
+  EXPECT_FALSE(RowRepairs(table, 2, 2, lists).ok());
+  EXPECT_TRUE(RowRepairs(table, 3, 2, lists).ok());  // row 3 misses column 1
 }
 
 TEST(RowRepairsTest, RejectsNullLabelAndBadRow) {
   auto table = MakeDirtyTable();
   table.Set(0, 2, Value::Null());
-  EXPECT_FALSE(RowRepairs(table, 0, 2).ok());
-  EXPECT_FALSE(RowRepairs(table, 99, 2).ok());
+  const auto lists = ColumnRepairs(table, 2);
+  EXPECT_FALSE(RowRepairs(table, 0, 2, lists).ok());
+  EXPECT_FALSE(RowRepairs(table, 99, 2, lists).ok());
 }
 
 }  // namespace

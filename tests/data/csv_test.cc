@@ -59,6 +59,16 @@ TEST(CsvTest, RejectsRaggedRows) {
   EXPECT_FALSE(ReadCsvString("a,b\n1,2\n3\n").ok());
 }
 
+TEST(CsvTest, RejectsDuplicateHeaderNames) {
+  const auto result = ReadCsvString("a,a\n1,2\n3,4\n");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("\"a\""), std::string::npos)
+      << result.status().ToString();
+  // Names are compared after whitespace stripping, as the schema sees them.
+  EXPECT_FALSE(ReadCsvString("x, y ,y\n1,2,3\n").ok());
+}
+
 TEST(CsvTest, RejectsEmptyAndUnterminatedQuote) {
   EXPECT_FALSE(ReadCsvString("").ok());
   EXPECT_FALSE(ReadCsvString("a\n\"oops\n").ok());

@@ -207,6 +207,31 @@ TEST(ProtocolTest, ErrorPaths) {
             "Invalid argument");
 }
 
+TEST(ProtocolTest, CreateSpecsThatUsedToAbortAnswerAndServerLivesOn) {
+  Server server;
+  // Each of these once aborted the process: k reached feature importance's
+  // KNN before any check, and a repeated CSV header name reached Schema's
+  // uniqueness CP_CHECK.
+  for (const char* line :
+       {"{\"op\":\"create_session\",\"session\":\"x\",\"source\":"
+        "\"paper\",\"dataset\":\"BabyProduct\",\"train_rows\":20,"
+        "\"val_size\":5,\"test_size\":5,\"k\":0}",
+        "{\"op\":\"create_session\",\"session\":\"x\",\"source\":"
+        "\"paper\",\"dataset\":\"BabyProduct\",\"train_rows\":20,"
+        "\"val_size\":5,\"test_size\":5,\"k\":500}",
+        "{\"op\":\"create_session\",\"session\":\"x\",\"source\":"
+        "\"synthetic\",\"train_rows\":10,\"val_size\":5,\"test_size\":5,"
+        "\"k\":11}",
+        "{\"op\":\"create_session\",\"session\":\"x\",\"source\":"
+        "\"csv\",\"csv_text\":\"a,a\\n1,2\\n3,4\\n\",\"label\":\"a\"}"}) {
+    EXPECT_EQ(RespondErrorCode(&server, line), "Invalid argument") << line;
+    const JsonValue pong = RespondOk(&server, "{\"op\":\"ping\"}");
+    EXPECT_TRUE(pong.is_object()) << line;
+  }
+  const JsonValue listed = RespondOk(&server, "{\"op\":\"list_sessions\"}");
+  EXPECT_TRUE(listed.Find("sessions")->array().empty());
+}
+
 TEST(ProtocolTest, ServedQueriesBitMatchDirectLibraryCalls) {
   NegativeEuclideanKernel kernel;
   const PreparedExperiment reference = MakeReference(kernel);
