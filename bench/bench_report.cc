@@ -130,14 +130,19 @@ class CollectingReporter : public benchmark::ConsoleReporter {
 
 int RunBenchmarksWithReport(int argc, char** argv, const char* report_path) {
   std::string path = report_path;
+  bool explicit_path = false;
+  bool filtered = false;
   // Extract our own flag before benchmark::Initialize sees the arguments.
   std::vector<char*> args(argv, argv + argc);
   for (auto it = args.begin(); it != args.end();) {
     const char* prefix = "--bench_report=";
     if (std::strncmp(*it, prefix, std::strlen(prefix)) == 0) {
       path = *it + std::strlen(prefix);
+      explicit_path = true;
       it = args.erase(it);
     } else {
+      const char* filter = "--benchmark_filter";
+      if (std::strncmp(*it, filter, std::strlen(filter)) == 0) filtered = true;
       ++it;
     }
   }
@@ -149,7 +154,15 @@ int RunBenchmarksWithReport(int argc, char** argv, const char* report_path) {
   }
   CollectingReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
-  const bool ok = reporter.WriteJson(path);
+  // A filtered run holds only some rows; writing it to the default path
+  // would replace a full committed report with a partial one.
+  bool ok = true;
+  if (filtered && !explicit_path) {
+    std::cerr << "bench_report: filtered run, not writing " << path
+              << " (pass --bench_report=<path> to keep these rows)\n";
+  } else {
+    ok = reporter.WriteJson(path);
+  }
   benchmark::Shutdown();
   return ok ? 0 : 1;
 }

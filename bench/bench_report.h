@@ -24,7 +24,9 @@ namespace benchreport {
 ///
 /// ns_per_op is wall time per iteration; aggregate/complexity rows and
 /// errored runs are omitted. Returns the process exit code. Pass
-/// `--bench_report=<path>` on the command line to redirect the report.
+/// `--bench_report=<path>` on the command line to redirect the report. A
+/// run with `--benchmark_filter` writes no report unless that flag names
+/// a path, so a partial run never overwrites a full report.
 int RunBenchmarksWithReport(int argc, char** argv, const char* report_path);
 
 }  // namespace benchreport

@@ -15,8 +15,8 @@
 
 namespace cpclean {
 
-Result<PreparedExperiment> PrepareExperiment(const ExperimentConfig& config,
-                                             const SimilarityKernel& kernel) {
+Result<CleaningTask> BuildExperimentTask(const ExperimentConfig& config,
+                                         const SimilarityKernel& kernel) {
   Rng rng(config.seed ^ config.dataset.synthetic.seed);
 
   CP_ASSIGN_OR_RETURN(Table full, GenerateSynthetic(config.dataset.synthetic));
@@ -38,18 +38,21 @@ Result<PreparedExperiment> PrepareExperiment(const ExperimentConfig& config,
       Table dirty_train,
       InjectMissing(split.train, label_col, importance, injection, &rng));
 
+  return BuildCleaningTask(dirty_train, split.train, split.val, split.test,
+                           SyntheticLabelColumn(), config.repair_options);
+}
+
+Result<PreparedExperiment> PrepareExperiment(const ExperimentConfig& config,
+                                             const SimilarityKernel& kernel) {
   PreparedExperiment prepared;
+  CP_ASSIGN_OR_RETURN(prepared.task, BuildExperimentTask(config, kernel));
+  const CleaningTask& task = prepared.task;
+  const Table& dirty_train = task.dirty_train;
   prepared.observed_missing_rate =
       static_cast<double>(dirty_train.CountMissing()) /
       static_cast<double>(dirty_train.num_rows() *
                           (dirty_train.num_columns() - 1));
-  CP_ASSIGN_OR_RETURN(
-      prepared.task,
-      BuildCleaningTask(dirty_train, split.train, split.val, split.test,
-                        SyntheticLabelColumn(), config.repair_options));
-  prepared.dirty_rows = static_cast<int>(prepared.task.DirtyRows().size());
-
-  const CleaningTask& task = prepared.task;
+  prepared.dirty_rows = static_cast<int>(task.DirtyRows().size());
   prepared.ground_truth_test_accuracy = task.AccuracyWith(
       task.clean_train_x, task.test_x, task.test_y, kernel, config.k);
   prepared.default_test_accuracy = task.AccuracyWith(

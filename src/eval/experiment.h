@@ -39,7 +39,13 @@ struct PreparedExperiment {
 
 /// Generates the synthetic table, splits train/val/test, measures feature
 /// importance on the clean data, injects MNAR missing values into the
-/// training partition only, and builds the CleaningTask.
+/// training partition only, and builds the CleaningTask. Callers that need
+/// only the task (the serving layer) stop here.
+Result<CleaningTask> BuildExperimentTask(const ExperimentConfig& config,
+                                         const SimilarityKernel& kernel);
+
+/// BuildExperimentTask plus the observed missing rate, the dirty-row count
+/// and the ground-truth and default test accuracies.
 Result<PreparedExperiment> PrepareExperiment(const ExperimentConfig& config,
                                              const SimilarityKernel& kernel);
 

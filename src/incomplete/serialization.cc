@@ -17,6 +17,11 @@ bool ValidSectionLine(const std::string& line) {
          stripped.size() == line.size();
 }
 
+/// True for a section name the `section <name>` line can carry.
+bool ValidSectionName(const std::string& name) {
+  return !name.empty() && name.find_first_of(" \t\r\n") == std::string::npos;
+}
+
 }  // namespace
 
 std::string SerializeIncompleteDataset(
@@ -38,8 +43,7 @@ std::string SerializeIncompleteDataset(
     }
   }
   for (const SerializedSection& section : sections) {
-    CP_CHECK(!section.name.empty());
-    CP_CHECK(section.name.find_first_of(" \t\r\n") == std::string::npos);
+    CP_CHECK(ValidSectionName(section.name));
     out += StrFormat("section %s\n", section.name.c_str());
     for (const std::string& line : section.lines) {
       CP_CHECK(ValidSectionLine(line));
@@ -92,6 +96,9 @@ Result<DeserializedDataset> DeserializeIncompleteDataset(
       in_examples = false;  // sections are a trailer: no examples after
       SerializedSection section;
       section.name = fields[1];
+      if (!ValidSectionName(section.name)) {
+        return Status::ParseError("bad section name: " + line);
+      }
       bool terminated = false;
       while (std::getline(stream, line)) {
         const std::string_view stripped = StripWhitespace(line);

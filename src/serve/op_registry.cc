@@ -145,8 +145,8 @@ const std::vector<OpInfo>& OpRegistry() {
       {"create_session", OpClass::kLifecycle, true, false,
        "`session`, `source` (`paper`\\|`synthetic`\\|`csv`), dataset params "
        "(`dataset`, `train_rows`, `val_size`, `test_size`, `seed`, "
-       "`missing_rate`, …; for CSV: `csv_text`/`csv_path`, `label`, optional "
-       "`clean_*`/`val_*`/`test_*`), `k`, `kernel`, `num_threads`, "
+       "`missing_rate`, …; for CSV: `csv_text`, `label`, optional "
+       "`clean_text`/`val_text`/`test_text`), `k`, `kernel`, "
        "`cache_capacity`, `max_contrib_bytes` (bound on the selection rows "
        "kept across clean steps)",
        "session summary (sizes, dim, `log2_worlds`)",

@@ -107,12 +107,22 @@ Result<std::vector<std::vector<double>>> ResolveRequestPoints(
       }
       std::vector<double> features;
       features.reserve(p.array().size());
+      double sq_norm = 0.0;
       for (const JsonValue& x : p.array()) {
         if (!x.is_number()) {
           return Status::InvalidArgument(
               "\"points\" features must be numbers");
         }
         features.push_back(x.number_value());
+        sq_norm += x.number_value() * x.number_value();
+      }
+      // The kernels score through squared norms, so a point is usable only
+      // if that sum is finite; an infinite feature (`1e999` parses to inf)
+      // fails the same check.
+      if (!std::isfinite(sq_norm)) {
+        return Status::InvalidArgument(
+            "\"points\" features must be finite, with a finite squared "
+            "norm");
       }
       out.push_back(std::move(features));
     }

@@ -55,8 +55,9 @@ Result<int> RequestSteps(const JsonValue& req);
 Result<int> RequestBudget(const JsonValue& req);
 
 /// The batched query points: exactly one of `"points"` (an array of
-/// feature arrays, used verbatim) or `"val_indices"` (indices resolved
-/// through `val_point`, the session's validation-set lookup).
+/// feature arrays, used verbatim; each must have finite features and a
+/// finite squared norm) or `"val_indices"` (indices resolved through
+/// `val_point`, the session's validation-set lookup).
 Result<std::vector<std::vector<double>>> ResolveRequestPoints(
     const JsonValue& req,
     const std::function<Result<std::vector<double>>(int)>& val_point);

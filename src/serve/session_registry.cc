@@ -49,8 +49,6 @@ Result<ServeSessionOptions> ServeSessionOptionsFromRequest(
                       RequestStringOr(req, "kernel", "neg_euclidean"));
   CP_ASSIGN_OR_RETURN(options.kernel, KernelKindFromName(kernel_name));
   CP_ASSIGN_OR_RETURN(options.gamma, RequestDoubleOr(req, "gamma", 1.0));
-  CP_ASSIGN_OR_RETURN(options.num_threads,
-                      RequestIntParam(req, "num_threads", 0));
   CP_ASSIGN_OR_RETURN(
       const int64_t cache_capacity,
       RequestIntOr(req, "cache_capacity",
@@ -110,7 +108,6 @@ Result<std::shared_ptr<ServeSession>> ServeSession::Make(
   session->kernel_ = MakeKernel(options.kernel, options.gamma);
   CpCleanOptions clean_options;
   clean_options.k = options.k;
-  clean_options.num_threads = options.num_threads;
   clean_options.max_contrib_bytes = options.max_contrib_bytes;
   // Serving sessions step incrementally; the run-loop bookkeeping knobs
   // (per-step accuracy / entropy traces) stay off.
@@ -190,7 +187,6 @@ Result<JsonValue> ServeSession::Certify(const std::vector<double>& point,
         CertifyOptions certify_options;
         certify_options.k = options_.k;
         certify_options.max_cleaned = max_cleaned;
-        certify_options.num_threads = options_.num_threads;
         ScopedSpanPhase compute_phase(kSpanKernelCompute);
         CP_ASSIGN_OR_RETURN(
             const CertifyResult certified,
@@ -353,7 +349,6 @@ JsonValue ServeSession::Stats() {
   resolved.Set("k", JsonValue(options_.k));
   resolved.Set("kernel", JsonValue(kernel_->name()));
   resolved.Set("gamma", JsonValue(options_.gamma));
-  resolved.Set("num_threads", JsonValue(options_.num_threads));
   resolved.Set("cache_capacity",
                JsonValue(static_cast<uint64_t>(options_.cache_capacity)));
   resolved.Set(

@@ -26,9 +26,6 @@ struct ServeSessionOptions {
   int k = 3;
   KernelKind kernel = KernelKind::kNegativeEuclidean;
   double gamma = 1.0;  // RBF only
-  /// 0 = the process-global shared pool (the serving default: N concurrent
-  /// sessions share cores); positive = a private pool for this session.
-  int num_threads = 0;
   /// Max resident entries in the per-session result cache (0 disables).
   size_t cache_capacity = 1024;
   /// Bound on the greedy selection rows kept across clean steps (see
@@ -50,8 +47,8 @@ Result<ServeSessionOptions> ServeSessionOptionsFromRequest(
 /// determines served answers but is NOT covered by the snapshot's working
 /// dataset: the encoded validation/test sets, their labels, and the
 /// oracle's true-candidate answers. Stored in session snapshots and
-/// re-checked on rehydration, so a CSV edited on disk between save and
-/// load fails loudly instead of silently shifting q2/certify bits.
+/// re-checked on rehydration, so a spec that no longer rebuilds the saved
+/// task fails loudly instead of silently shifting q2/certify bits.
 uint64_t TaskFingerprint(const CleaningTask& task);
 
 /// One named serving session: a CleaningTask (owned), its kernel, a

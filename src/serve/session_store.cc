@@ -40,18 +40,10 @@ constexpr char kLogSuffix[] = ".cplog";
 /// matches the snapshot suffix, so listings ignore it).
 constexpr char kProbeName[] = ".cpclean_probe";
 
-Result<Table> LoadTable(const JsonValue& req, const char* text_key,
-                        const char* path_key) {
-  const JsonValue* text = req.Find(text_key);
-  if (text != nullptr) {
-    if (!text->is_string()) {
-      return Status::InvalidArgument(
-          StrFormat("\"%s\" must be a string", text_key));
-    }
-    return ReadCsvString(text->string_value());
-  }
-  CP_ASSIGN_OR_RETURN(const std::string path, RequestString(req, path_key));
-  return ReadCsvFile(path);
+/// Parses the inline CSV text a spec carries under `key`.
+Result<Table> LoadTable(const JsonValue& req, const char* key) {
+  CP_ASSIGN_OR_RETURN(const std::string text, RequestString(req, key));
+  return ReadCsvString(text);
 }
 
 /// Session names are arbitrary protocol strings; filenames are not.
@@ -158,13 +150,10 @@ Result<CleaningTask> BuildTaskFromSpec(const JsonValue& spec) {
         config.dataset.missing_rate,
         RequestDoubleOr(spec, "missing_rate", config.dataset.missing_rate));
     CP_ASSIGN_OR_RETURN(config.k, RequestIntParam(spec, "k", 3));
-    // Feature importance and the two accuracies run KNN with this k on the
-    // training rows, so it is checked before they run, not at session
-    // creation.
+    // Feature importance runs KNN with this k on the training rows, so it
+    // is checked before that runs, not at session creation.
     CP_RETURN_NOT_OK(ValidateCleaningK(config.k, train_rows));
     config.seed = static_cast<uint64_t>(seed);
-    CP_ASSIGN_OR_RETURN(config.num_threads,
-                        RequestIntParam(spec, "num_threads", 0));
     CP_ASSIGN_OR_RETURN(const std::string kernel_name,
                         RequestStringOr(spec, "kernel", "neg_euclidean"));
     CP_ASSIGN_OR_RETURN(const KernelKind kind,
@@ -172,35 +161,30 @@ Result<CleaningTask> BuildTaskFromSpec(const JsonValue& spec) {
     CP_ASSIGN_OR_RETURN(const double gamma,
                         RequestDoubleOr(spec, "gamma", 1.0));
     const std::unique_ptr<SimilarityKernel> kernel = MakeKernel(kind, gamma);
-    CP_ASSIGN_OR_RETURN(PreparedExperiment prepared,
-                        PrepareExperiment(config, *kernel));
-    return std::move(prepared.task);
+    return BuildExperimentTask(config, *kernel);
   }
   if (source == "csv") {
-    // Dirty training CSV (inline text or a file path) plus the label
-    // column; ground truth / validation / test tables are optional — a
-    // default-imputed completion stands in when absent, mirroring the
-    // csv_workflow example. Every parse or schema failure surfaces as a
-    // structured error response.
-    CP_ASSIGN_OR_RETURN(Table dirty, LoadTable(spec, "csv_text", "csv_path"));
+    // Dirty training CSV text plus the label column; ground truth /
+    // validation / test tables are optional — a default-imputed completion
+    // stands in when absent, mirroring the csv_workflow example. Every
+    // parse or schema failure surfaces as a structured error response.
+    CP_ASSIGN_OR_RETURN(Table dirty, LoadTable(spec, "csv_text"));
     CP_ASSIGN_OR_RETURN(const std::string label, RequestString(spec, "label"));
     CP_ASSIGN_OR_RETURN(const int label_col,
                         dirty.schema().FieldIndex(label));
     Table clean;
-    if (spec.Find("clean_text") != nullptr ||
-        spec.Find("clean_path") != nullptr) {
-      CP_ASSIGN_OR_RETURN(clean, LoadTable(spec, "clean_text", "clean_path"));
+    if (spec.Find("clean_text") != nullptr) {
+      CP_ASSIGN_OR_RETURN(clean, LoadTable(spec, "clean_text"));
     } else {
       CP_ASSIGN_OR_RETURN(clean, DefaultCleanImpute(dirty, label_col));
     }
     Table val = clean;
-    if (spec.Find("val_text") != nullptr || spec.Find("val_path") != nullptr) {
-      CP_ASSIGN_OR_RETURN(val, LoadTable(spec, "val_text", "val_path"));
+    if (spec.Find("val_text") != nullptr) {
+      CP_ASSIGN_OR_RETURN(val, LoadTable(spec, "val_text"));
     }
     Table test = val;
-    if (spec.Find("test_text") != nullptr ||
-        spec.Find("test_path") != nullptr) {
-      CP_ASSIGN_OR_RETURN(test, LoadTable(spec, "test_text", "test_path"));
+    if (spec.Find("test_text") != nullptr) {
+      CP_ASSIGN_OR_RETURN(test, LoadTable(spec, "test_text"));
     }
     return BuildCleaningTask(dirty, clean, val, test, label);
   }
@@ -721,12 +705,11 @@ Result<std::shared_ptr<ServeSession>> SessionStore::Load(
   CP_ASSIGN_OR_RETURN(CleaningTask task, BuildTaskFromSpec(spec));
   if (TaskFingerprint(task) != want_fingerprint.value()) {
     // The working dataset is bit-verified separately (RestoreCleaning);
-    // this catches drift in what that check cannot see — validation/test
-    // CSVs or the oracle changed on disk since the snapshot was saved.
+    // this catches drift in what that check cannot see — the spec no longer
+    // rebuilds the validation/test sets or the oracle that were saved.
     return Status::Internal(StrFormat(
         "session \"%s\": the rebuilt task's validation/test/oracle data "
-        "does not match the snapshot (source files changed since it was "
-        "saved?)",
+        "does not match the snapshot",
         name.c_str()));
   }
   // The replay order is the base's cleaning section plus the fixes the

@@ -232,6 +232,38 @@ TEST(ProtocolTest, CreateSpecsThatUsedToAbortAnswerAndServerLivesOn) {
   EXPECT_TRUE(listed.Find("sessions")->array().empty());
 }
 
+TEST(ProtocolTest, NonFinitePointsAnswerInvalidArgumentAndServerLivesOn) {
+  Server server;
+  RespondOk(&server, CreateRequest("s"));
+  // 1e999 parses to infinity; 1e308 is finite but its square is not, so
+  // the point's squared norm overflows. Neither reaches a kernel.
+  for (const char* point :
+       {"[1e999,0,0,0]", "[0,0,-1e999,0]", "[1e308,0,0,0]",
+        "[1e200,1e200,1e200,1e200]"}) {
+    for (const char* op :
+         {"q2", "predict", "certify", "explain", "why_certified"}) {
+      EXPECT_EQ(RespondErrorCode(
+                    &server, StrFormat("{\"op\":\"%s\",\"session\":\"s\","
+                                       "\"points\":[%s]}",
+                                       op, point)),
+                "Invalid argument")
+          << op << " " << point;
+      const JsonValue pong = RespondOk(&server, "{\"op\":\"ping\"}");
+      EXPECT_TRUE(pong.is_object()) << op << " " << point;
+    }
+  }
+  // Large but finite squared norms are still answered.
+  for (const char* op :
+       {"q2", "predict", "certify", "explain", "why_certified"}) {
+    const JsonValue answered = RespondOk(
+        &server, StrFormat("{\"op\":\"%s\",\"session\":\"s\","
+                           "\"points\":[[1e150,-1e150,1e150,0]]}",
+                           op));
+    ASSERT_NE(answered.Find("results"), nullptr) << op;
+    EXPECT_EQ(answered.Find("results")->array().size(), 1u) << op;
+  }
+}
+
 TEST(ProtocolTest, ServedQueriesBitMatchDirectLibraryCalls) {
   NegativeEuclideanKernel kernel;
   const PreparedExperiment reference = MakeReference(kernel);

@@ -340,6 +340,37 @@ TEST(StoreLogTest, DurableSessionMatchesMemoryOnlyThroughRestart) {
   EXPECT_EQ(Q2Sweep(&reloaded, "s"), Q2Sweep(&memory_only, "s"));
 }
 
+TEST(StoreLogTest, PersistedSpecWithThreadCountRehydratesLikeWithout) {
+  // Served sessions always run on the global pool, so "num_threads" is an
+  // unknown key: the spec persists it, and rehydration ignores it and
+  // answers like a session created without it.
+  const std::string dir = FreshDataDir("log_num_threads");
+  constexpr int kSeed = 149;
+  std::string with_threads = CreateRequest("s", kSeed);
+  with_threads.insert(with_threads.size() - 1, ",\"num_threads\":2");
+  {
+    Server server = MakeServer(dir);
+    ParseOk(server.HandleLine(with_threads));
+    CleanSteps(&server, "s", 2);
+    Save(&server, "s");
+  }
+  ASSERT_NE(ReadFile(dir + "/s.cpsession").find("\"num_threads\":2"),
+            std::string::npos);
+  Server plain = MakeServer("");
+  ParseOk(plain.HandleLine(CreateRequest("s", kSeed)));
+  CleanSteps(&plain, "s", 2);
+  Server reloaded = MakeServer(dir);
+  for (const char* op : {"q2", "predict", "explain"}) {
+    for (int v = 0; v < kVal; ++v) {
+      const std::string line = StrFormat(
+          "{\"op\":\"%s\",\"session\":\"s\",\"val_indices\":[%d]}", op, v);
+      EXPECT_EQ(ParseOk(reloaded.HandleLine(line)).Dump(),
+                ParseOk(plain.HandleLine(line)).Dump())
+          << op << " " << v;
+    }
+  }
+}
+
 TEST(StoreLogTest, CompactionUnderConcurrentReadsServesEveryQuery) {
   const std::string dir = FreshDataDir("log_concurrent");
   constexpr int kSeed = 148;
