@@ -1,5 +1,6 @@
 // Google-benchmark suite over the CP query engines (paper Figure 4):
-// brute force (exponential), SS naive, SS-DC, SS-DC-MC, MM, FastQ2.
+// brute force (exponential), SS naive, SS-DC, SS-DC-MC, MM, FastQ2, and
+// witness extraction (explain).
 // Run with --benchmark_filter=... to slice.
 
 #include <benchmark/benchmark.h>
@@ -14,6 +15,7 @@
 #include "core/ss1.h"
 #include "core/ss_dc.h"
 #include "core/ss_dc_mc.h"
+#include "core/witness.h"
 #include "eval/experiment.h"
 #include "incomplete/incomplete_dataset.h"
 #include "knn/kernel.h"
@@ -187,6 +189,23 @@ void BM_SimilarityMatrix(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimilarityMatrix)->ArgsProduct({{1024}, {4, 16, 64}});
+
+void BM_ExplainPrediction(benchmark::State& state) {
+  // A served `explain`: one scoring sweep, the Q2 support, the top-K floor
+  // prune, and greedy deletion decided on index lists. Binary, k = 3,
+  // cycling over 16 test points.
+  const int n = static_cast<int>(state.range(0));
+  const IncompleteDataset dataset = MakeDataset(n, 3, 2, 7);
+  std::vector<std::vector<double>> points;
+  for (uint64_t seed = 0; seed < 16; ++seed) points.push_back(TestPoint(seed));
+  NegativeEuclideanKernel kernel;
+  size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ExplainPrediction(
+        dataset, points[next++ % points.size()], kernel, 3));
+  }
+}
+BENCHMARK(BM_ExplainPrediction)->Arg(4096)->Unit(benchmark::kMicrosecond);
 
 PreparedExperiment MakeSelectionExperiment(int rows) {
   ExperimentConfig config;

@@ -25,7 +25,8 @@ Result<CertifyResult> CertifyOnDataset(const IncompleteDataset& dataset,
                                        const std::vector<double>& t,
                                        const SimilarityKernel& kernel,
                                        const CertifyOptions& options) {
-  if (options.k < 1 || options.k > dataset.num_examples()) {
+  if (options.k < 1 || options.k > dataset.num_examples() ||
+      options.k > FastQ2::kMaxK) {
     return Status::InvalidArgument("k out of range");
   }
   if (static_cast<int>(true_candidate.size()) < dataset.num_examples()) {

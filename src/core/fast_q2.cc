@@ -16,6 +16,11 @@ namespace cpclean {
 FastQ2::FastQ2(const IncompleteDataset* dataset, int k, double epsilon)
     : dataset_(dataset), k_(k), epsilon_(epsilon) {
   CP_CHECK(dataset_ != nullptr);
+  // Unreachable from a request: every constructing path has already
+  // answered a k outside [1, min(kMaxK, n)] with a Status — served
+  // sessions and CleaningSession::Create through ValidateCleaningK, and
+  // CertifyPrediction, ExplainPrediction and CheckOnSubset by their own
+  // range checks.
   CP_CHECK_GE(k_, 1);
   CP_CHECK_LE(k_, kMaxK)
       << "FastQ2 supports k <= " << kMaxK

@@ -83,6 +83,10 @@ class FastQ2 {
   /// entries, valid until the next query on this engine.
   const std::vector<double>& EntropyPinnedSweep(int i);
 
+  /// The bound test point's candidate scores, example-major (the
+  /// `SimilarityScores` layout).
+  const std::vector<double>& scores() const { return sims_; }
+
   /// Least / most similar candidate of tuple `i` for the bound test point.
   double MinSimilarity(int i) const { return tuple_min_[static_cast<size_t>(i)]; }
   double MaxSimilarity(int i) const { return tuple_max_[static_cast<size_t>(i)]; }

@@ -1,5 +1,8 @@
 #include "core/mm.h"
 
+#include <algorithm>
+#include <numeric>
+
 #include "common/logging.h"
 #include "core/similarity.h"
 #include "knn/ordering.h"
@@ -8,54 +11,71 @@
 
 namespace cpclean {
 
+std::vector<bool> MmPossibleLabels(const std::vector<double>& min_sim,
+                                   const std::vector<double>& max_sim,
+                                   const std::vector<int>& labels,
+                                   const std::vector<int>& tuples, int k) {
+  constexpr int kNumLabels = 2;
+  // Unreachable from a request: CheckOnSubset refuses lists shorter than
+  // k, ExplainPrediction refuses k outside [1, n], and the dataset
+  // overload below checks 1 <= k <= n.
+  CP_CHECK_GE(k, 1);
+  CP_CHECK_LE(static_cast<size_t>(k), tuples.size());
+
+  std::vector<bool> possible(kNumLabels, false);
+  std::vector<ScoredCandidate> world(tuples.size());
+  std::vector<int> top_labels;
+  top_labels.reserve(static_cast<size_t>(k));
+  for (int l = 0; l < kNumLabels; ++l) {
+    // The l-extreme world (Equation B.1) over the listed tuples.
+    for (size_t w = 0; w < tuples.size(); ++w) {
+      const size_t i = static_cast<size_t>(tuples[w]);
+      world[w] = {labels[i] == l ? max_sim[i] : min_sim[i], tuples[w], 0};
+    }
+    top_labels.clear();
+    for (const int idx : SelectTopK(world, k)) {
+      top_labels.push_back(labels[static_cast<size_t>(world[idx].tuple)]);
+    }
+    possible[static_cast<size_t>(l)] =
+        MajorityVote(top_labels, kNumLabels) == l;
+  }
+  return possible;
+}
+
 std::vector<bool> MmPossibleLabels(const IncompleteDataset& dataset,
                                    const std::vector<double>& t,
                                    const SimilarityKernel& kernel, int k) {
   const int n = dataset.num_examples();
-  const int num_labels = dataset.num_labels();
-  CP_CHECK_EQ(num_labels, 2) << "MM is only sound for binary classification "
-                                "(paper Lemma B.1); use SsCheck for |Y| > 2";
+  // Unreachable from a request: CertainPredictor::Check routes |Y| != 2 to
+  // SsCheck, and every served session's k passed ValidateCleaningK
+  // (1 <= k <= training rows) when it was created.
+  CP_CHECK_EQ(dataset.num_labels(), 2)
+      << "MM is only sound for binary classification (paper Lemma B.1); "
+         "use SsCheck for |Y| > 2";
   CP_CHECK_GE(k, 1);
   CP_CHECK_LE(k, n);
 
-  const auto sims = SimilarityMatrix(dataset, t, kernel);
-
-  // Per tuple: candidate index of the least / most similar value under the
-  // deterministic within-tuple order (similarity, then candidate index).
-  std::vector<int> jmin(static_cast<size_t>(n), 0);
-  std::vector<int> jmax(static_cast<size_t>(n), 0);
+  std::vector<double> scores(
+      static_cast<size_t>(dataset.total_candidates()));
+  SimilarityScores(dataset, t, kernel, scores.data());
+  std::vector<double> min_sim(static_cast<size_t>(n));
+  std::vector<double> max_sim(static_cast<size_t>(n));
+  std::vector<int> labels(static_cast<size_t>(n));
+  size_t pos = 0;
   for (int i = 0; i < n; ++i) {
-    const auto& row = sims[static_cast<size_t>(i)];
-    for (int j = 1; j < static_cast<int>(row.size()); ++j) {
-      const ScoredCandidate cur{row[static_cast<size_t>(j)], i, j};
-      const ScoredCandidate lo{row[static_cast<size_t>(jmin[static_cast<size_t>(i)])],
-                               i, jmin[static_cast<size_t>(i)]};
-      const ScoredCandidate hi{row[static_cast<size_t>(jmax[static_cast<size_t>(i)])],
-                               i, jmax[static_cast<size_t>(i)]};
-      if (LessSimilar(cur, lo)) jmin[static_cast<size_t>(i)] = j;
-      if (LessSimilar(hi, cur)) jmax[static_cast<size_t>(i)] = j;
+    double lo = scores[pos], hi = scores[pos];
+    const size_t end = pos + static_cast<size_t>(dataset.num_candidates(i));
+    for (++pos; pos < end; ++pos) {
+      lo = std::min(lo, scores[pos]);
+      hi = std::max(hi, scores[pos]);
     }
+    min_sim[static_cast<size_t>(i)] = lo;
+    max_sim[static_cast<size_t>(i)] = hi;
+    labels[static_cast<size_t>(i)] = dataset.label(i);
   }
-
-  std::vector<bool> possible(static_cast<size_t>(num_labels), false);
-  for (int l = 0; l < num_labels; ++l) {
-    // The l-extreme world (Equation B.1).
-    std::vector<ScoredCandidate> world;
-    world.reserve(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      const int j = dataset.label(i) == l ? jmax[static_cast<size_t>(i)]
-                                          : jmin[static_cast<size_t>(i)];
-      world.push_back(
-          {sims[static_cast<size_t>(i)][static_cast<size_t>(j)], i, j});
-    }
-    std::vector<int> top = SelectTopK(world, k);
-    std::vector<int> labels;
-    labels.reserve(top.size());
-    for (int idx : top) labels.push_back(dataset.label(idx));
-    possible[static_cast<size_t>(l)] =
-        MajorityVote(labels, num_labels) == l;
-  }
-  return possible;
+  std::vector<int> tuples(static_cast<size_t>(n));
+  std::iota(tuples.begin(), tuples.end(), 0);
+  return MmPossibleLabels(min_sim, max_sim, labels, tuples, k);
 }
 
 CheckResult MmCheck(const IncompleteDataset& dataset,

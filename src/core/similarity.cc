@@ -50,17 +50,14 @@ std::vector<std::vector<double>> SimilarityMatrix(
   return sims;
 }
 
-std::vector<ScoredCandidate> SortScan(
-    const std::vector<std::vector<double>>& sims) {
+std::vector<ScoredCandidate> SortScan(const IncompleteDataset& dataset,
+                                      const std::vector<double>& scores) {
   std::vector<ScoredCandidate> scan;
-  size_t total = 0;
-  for (const auto& row : sims) total += row.size();
-  scan.reserve(total);
-  for (int i = 0; i < static_cast<int>(sims.size()); ++i) {
-    for (int j = 0; j < static_cast<int>(sims[static_cast<size_t>(i)].size());
-         ++j) {
-      scan.push_back({sims[static_cast<size_t>(i)][static_cast<size_t>(j)],
-                      i, j});
+  scan.reserve(scores.size());
+  size_t pos = 0;
+  for (int i = 0; i < dataset.num_examples(); ++i) {
+    for (int j = 0; j < dataset.num_candidates(i); ++j) {
+      scan.push_back({scores[pos++], i, j});
     }
   }
   std::sort(scan.begin(), scan.end(), LessSimilar);
@@ -70,7 +67,10 @@ std::vector<ScoredCandidate> SortScan(
 std::vector<ScoredCandidate> SortedCandidateScan(
     const IncompleteDataset& dataset, const std::vector<double>& t,
     const SimilarityKernel& kernel) {
-  return SortScan(SimilarityMatrix(dataset, t, kernel));
+  std::vector<double> scores(
+      static_cast<size_t>(dataset.total_candidates()));
+  SimilarityScores(dataset, t, kernel, scores.data());
+  return SortScan(dataset, scores);
 }
 
 }  // namespace cpclean

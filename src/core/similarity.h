@@ -32,10 +32,11 @@ std::vector<ScoredCandidate> SortedCandidateScan(
     const IncompleteDataset& dataset, const std::vector<double>& t,
     const SimilarityKernel& kernel);
 
-/// Sorts an existing similarity matrix into scan order (used when the
-/// caller already paid for the kernel evaluations).
-std::vector<ScoredCandidate> SortScan(
-    const std::vector<std::vector<double>>& sims);
+/// Sorts flat example-major `scores` of `dataset`'s candidates (the
+/// `SimilarityScores` layout) into scan order, for callers that already
+/// paid for the kernel evaluations.
+std::vector<ScoredCandidate> SortScan(const IncompleteDataset& dataset,
+                                      const std::vector<double>& scores);
 
 }  // namespace cpclean
 

@@ -1,6 +1,7 @@
 #ifndef CPCLEAN_CORE_SS_DC_H_
 #define CPCLEAN_CORE_SS_DC_H_
 
+#include <numeric>
 #include <vector>
 
 #include "common/logging.h"
@@ -10,6 +11,7 @@
 #include "core/tally_enum.h"
 #include "incomplete/incomplete_dataset.h"
 #include "knn/kernel.h"
+#include "knn/ordering.h"
 #include "knn/vote.h"
 
 namespace cpclean {
@@ -24,27 +26,39 @@ namespace cpclean {
 ///
 /// Overall O(N·M·(log(N·M) + K^2 log N + |Γ|·|Y|)) — the production engine
 /// behind CPClean.
+///
+/// This form counts over the restriction of `dataset` to `tuples` (ascending
+/// ids) and reads the candidate order from `scan`: every candidate of the
+/// dataset scored against one test point and sorted ascending under the
+/// shared (similarity, tuple, candidate) order, as `SortedCandidateScan`
+/// returns it. Entries of tuples outside `tuples` are skipped. Filtering
+/// keeps that order among the kept tuples, so the answer is bit-identical
+/// to SS-DC on a copy of the kept rows.
 template <typename S, bool kNormalized = false>
 CountResult<S> SsDcCount(const IncompleteDataset& dataset,
-                         const std::vector<double>& t,
-                         const SimilarityKernel& kernel, int k) {
+                         const std::vector<int>& tuples,
+                         const std::vector<ScoredCandidate>& scan, int k) {
   using W = TallyWeight<S, kNormalized>;
   const int n = dataset.num_examples();
   const int num_labels = dataset.num_labels();
+  // Unreachable from a request: CheckOnSubset refuses lists shorter than k,
+  // ExplainPrediction refuses k outside [1, n], and every served session's
+  // k passed ValidateCleaningK (1 <= k <= training rows) when it was made.
   CP_CHECK_GE(k, 1);
-  CP_CHECK_LE(k, n);
+  CP_CHECK_LE(static_cast<size_t>(k), tuples.size());
 
   CountResult<S> result;
   result.per_label.assign(static_cast<size_t>(num_labels), S::Zero());
   result.total = S::One();
-  for (int i = 0; i < n; ++i) {
+  for (const int i : tuples) {
     result.total = S::Mul(result.total, W::Free(dataset.num_candidates(i)));
   }
 
-  // Map each tuple to a slot inside its label's tree.
+  // Map each kept tuple to a slot inside its label's tree; -1 marks a
+  // tuple outside the restriction.
   std::vector<int> slot_of(static_cast<size_t>(n), -1);
   std::vector<int> label_size(static_cast<size_t>(num_labels), 0);
-  for (int i = 0; i < n; ++i) {
+  for (const int i : tuples) {
     slot_of[static_cast<size_t>(i)] =
         label_size[static_cast<size_t>(dataset.label(i))]++;
   }
@@ -54,18 +68,17 @@ CountResult<S> SsDcCount(const IncompleteDataset& dataset,
     trees.emplace_back(label_size[static_cast<size_t>(l)], k);
   }
   // Initial tallies: α = 0 everywhere, every candidate is "above".
-  for (int i = 0; i < n; ++i) {
+  for (const int i : tuples) {
     const int m = dataset.num_candidates(i);
     trees[static_cast<size_t>(dataset.label(i))].SetLeaf(
         slot_of[static_cast<size_t>(i)], W::Below(0, m), W::Above(0, m));
   }
 
-  const std::vector<ScoredCandidate> scan =
-      SortedCandidateScan(dataset, t, kernel);
   std::vector<int> alpha(static_cast<size_t>(n), 0);
 
   for (const ScoredCandidate& entry : scan) {
     const int i = entry.tuple;
+    if (slot_of[static_cast<size_t>(i)] < 0) continue;
     const int b = dataset.label(i);
     const int m = dataset.num_candidates(i);
     ++alpha[static_cast<size_t>(i)];
@@ -102,6 +115,17 @@ CountResult<S> SsDcCount(const IncompleteDataset& dataset,
   return result;
 }
 
+/// SS-DC over the whole dataset for test point `t`.
+template <typename S, bool kNormalized = false>
+CountResult<S> SsDcCount(const IncompleteDataset& dataset,
+                         const std::vector<double>& t,
+                         const SimilarityKernel& kernel, int k) {
+  std::vector<int> tuples(static_cast<size_t>(dataset.num_examples()));
+  std::iota(tuples.begin(), tuples.end(), 0);
+  return SsDcCount<S, kNormalized>(dataset, tuples,
+                                   SortedCandidateScan(dataset, t, kernel), k);
+}
+
 /// Labels achievable in at least one possible world, via SS-DC in the
 /// Boolean possibility semiring — an exact Q1 building block for any |Y|.
 inline std::vector<bool> SsPossibleLabels(const IncompleteDataset& dataset,
@@ -110,10 +134,7 @@ inline std::vector<bool> SsPossibleLabels(const IncompleteDataset& dataset,
                                           int k) {
   const CountResult<BoolSemiring> counts =
       SsDcCount<BoolSemiring>(dataset, t, kernel, k);
-  std::vector<bool> out;
-  out.reserve(counts.per_label.size());
-  for (bool v : counts.per_label) out.push_back(v);
-  return out;
+  return std::vector<bool>(counts.per_label.begin(), counts.per_label.end());
 }
 
 /// Q1 for every label via the Boolean-semiring SS-DC.
@@ -121,6 +142,17 @@ inline CheckResult SsCheck(const IncompleteDataset& dataset,
                            const std::vector<double>& t,
                            const SimilarityKernel& kernel, int k) {
   return CheckFromPossible(SsPossibleLabels(dataset, t, kernel, k));
+}
+
+/// Q1 on the restriction of `dataset` to `tuples` (ascending ids), read
+/// from one ascending candidate scan (see the index-list `SsDcCount`).
+inline CheckResult SsCheck(const IncompleteDataset& dataset,
+                           const std::vector<int>& tuples,
+                           const std::vector<ScoredCandidate>& scan, int k) {
+  const CountResult<BoolSemiring> counts =
+      SsDcCount<BoolSemiring>(dataset, tuples, scan, k);
+  return CheckFromPossible(
+      std::vector<bool>(counts.per_label.begin(), counts.per_label.end()));
 }
 
 }  // namespace cpclean

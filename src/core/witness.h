@@ -44,14 +44,20 @@ struct WitnessSet {
 struct WitnessOptions {
   /// Greedy deletion passes before giving up on a fixpoint.
   int max_passes = 8;
-  /// Candidate sets larger than this skip minimization (minimal=false);
-  /// each deletion attempt costs one Q1 check on the restricted dataset.
+  /// Candidate sets larger than this skip minimization (minimal=false).
+  /// Each deletion attempt is one decision on an index list of the current
+  /// set W, read from the explain's one scoring sweep with nothing copied
+  /// or scored again: O(|W| log k) for |Y| = 2, one SS-DC pass over W's
+  /// candidates otherwise.
   int max_minimize_tuples = 256;
 };
 
-/// Q1 on the restriction of `dataset` to `tuples` (given in ascending
-/// original-id order, which preserves KNN tie-breaking among the kept
-/// tuples). Fails when fewer than k tuples remain.
+/// Q1 on the restriction of `dataset` to `tuples`, decided on the index
+/// list: the tuples are never copied out of `dataset`. Ids must be
+/// strictly ascending (so the shared tie-break by tuple id orders the kept
+/// tuples as a copy of them would be ordered) and inside the dataset.
+/// Fails when fewer than k tuples are listed or k is outside
+/// [1, FastQ2::kMaxK].
 Result<CheckResult> CheckOnSubset(const IncompleteDataset& dataset,
                                   const std::vector<int>& tuples,
                                   const std::vector<double>& t,

@@ -8,6 +8,10 @@
 namespace cpclean {
 
 std::vector<int> SelectTopK(const std::vector<ScoredCandidate>& items, int k) {
+  // Unreachable from a request: every caller has already checked that its
+  // `items` hold at least k entries — MM's decide half (behind
+  // ValidateCleaningK, ExplainPrediction's k range and CheckOnSubset's size
+  // check), BruteForceCount's k <= n, and the KnnClassifier constructor.
   CP_CHECK_GT(k, 0);
   CP_CHECK_LE(static_cast<size_t>(k), items.size());
   // Min-heap of the current best k, keyed by "least similar at top".
